@@ -13,19 +13,21 @@ A grid of experiments produces, inside ``out_dir``:
     failures.csv    label,error   (only when something failed)
     traces/<label>_no_spring.csv / _with_spring.csv
 
-All files are written atomically (temp + rename) and byte-deterministic.
+All files are written atomically (temp + rename) and byte-deterministic;
+failures.csv is quoted where a message holds a comma or a quote.
 """
 
 from __future__ import annotations
 
 import configparser
+import csv
+import io
 import math
-import os
 import re
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._fileio import atomic_write, float_rows
 from .errors import ConfigError, DegenerateTrajectory, EmptySpecList, MissingTrace
 from .fitting import EnergyModel, FitDiagnostics, energy, fit_optimal
 from .leg import LegGeometry
@@ -206,18 +208,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _atomic_write(path: Path, payload: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def run_grid(
     specs: list[ExperimentSpec],
     out_dir,
@@ -268,11 +258,12 @@ def run_grid(
             )
         )
     report_path = out_dir / "report.csv"
-    _atomic_write(report_path, "\n".join(lines) + "\n")
+    atomic_write(report_path, "\n".join(lines) + "\n")
     save_specs_file(specs, out_dir / SPECS_FILENAME)
     if failures:
-        fail_lines = ["label,error"] + [f"{lbl},{msg}" for lbl, msg in failures]
-        _atomic_write(out_dir / "failures.csv", "\n".join(fail_lines) + "\n")
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([("label", "error"), *failures])
+        atomic_write(out_dir / "failures.csv", buf.getvalue())
     return GridReport(results=results, failures=failures, report_path=report_path)
 
 
@@ -342,23 +333,18 @@ def _write_period_overlay(
         )
     k0 = (n // n_period - 1) * n_period
     sl = slice(k0, k0 + n_period)
-    t_rel = traj_a.t[sl] - traj_a.t[k0]
-    tau_a = traj_a.tau[sl]
-    tau_b = traj_b.tau[sl]
+    t_rel = (traj_a.t[sl] - traj_a.t[k0]).tolist()
+    tau_a = traj_a.tau[sl].tolist()
+    tau_b = traj_b.tau[sl].tolist()
 
-    lines = ["t,tau_no_spring_Nm,tau_with_spring_Nm"]
-    for i in range(n_period):
-        lines.append(f"{_fmt(t_rel[i])},{_fmt(tau_a[i])},{_fmt(tau_b[i])}")
     csv_path = out_dir / f"{label}_torques.csv"
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    header = "t,tau_no_spring_Nm,tau_with_spring_Nm"
+    atomic_write(csv_path, float_rows(header, t_rel, tau_a, tau_b))
 
     svg_path = out_dir / f"{label}_torques.svg"
     line_plot(
         svg_path,
-        [
-            ("no spring", list(t_rel), list(tau_a)),
-            ("with spring", list(t_rel), list(tau_b)),
-        ],
+        [("no spring", t_rel, tau_a), ("with spring", t_rel, tau_b)],
         title=f"Knee motor torque over one period: {label}",
         xlabel="time within period [s]",
         ylabel="motor torque [N m]",
@@ -489,7 +475,7 @@ def save_specs_file(specs: list[ExperimentSpec], path) -> None:
                 v = s.overrides[key]
                 lines.append(f"{key} = {v if isinstance(v, str) else _fmt(v)}")
         lines.append("")
-    _atomic_write(Path(path), "\n".join(lines))
+    atomic_write(path, "\n".join(lines))
 
 
 def load_run_config(path) -> SimConfig:

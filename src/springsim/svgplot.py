@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from ._fileio import atomic_write
+
 _WIDTH, _HEIGHT = 720, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 16, 34, 46
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
@@ -44,7 +46,11 @@ def line_plot(
     xlabel: str = "",
     ylabel: str = "",
 ) -> None:
-    """Write an SVG overlay plot of one or more (label, x, y) series."""
+    """Write an SVG overlay plot of one or more (label, x, y) series, atomically.
+
+    Raises:
+        IoFailure: On any OS-level write problem.
+    """
     xs = [v for _, x, _ in series for v in x]
     ys = [v for _, _, y in series for v in y]
     if not xs:
@@ -127,5 +133,4 @@ def line_plot(
         )
         parts.append(f'<text x="{lx + 28}" y="{ly}">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    atomic_write(path, "\n".join(parts) + "\n")

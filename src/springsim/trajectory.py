@@ -24,17 +24,16 @@ line, decimal points, newline-terminated. Floats are written with
 from __future__ import annotations
 
 import math
-import os
-import tempfile
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
+from ._fileio import atomic_write, float_rows
 from .errors import (
     EmptyFile,
-    IoFailure,
     MalformedRow,
     MissingFile,
     NonUniformTimestep,
@@ -187,41 +186,59 @@ class Trajectory:
         return cls(t, alpha, tau, dt=dt)
 
 
-def _fmt(x: float) -> str:
-    # repr() gives the shortest string that round-trips the float exactly.
-    return repr(float(x))
-
-
 def save_trajectory(traj: Trajectory, path) -> None:
     """Write ``traj`` as CSV (atomically: temp file + rename).
 
     Raises:
         IoFailure: On any OS-level write problem.
     """
-    path = Path(path)
-    lines = [CSV_HEADER]
-    t, alpha, tau = traj.t, traj.alpha, traj.tau
-    for i in range(len(traj)):
-        lines.append(f"{_fmt(t[i])},{_fmt(alpha[i])},{_fmt(tau[i])}")
-    payload = "\n".join(lines) + "\n"
+    atomic_write(
+        path, float_rows(CSV_HEADER, traj.t.tolist(), traj.alpha.tolist(), traj.tau.tolist())
+    )
+
+
+#: Every byte a number in a well-formed log can contain: what
+#: :func:`repr` writes for a finite float.
+_NUMBER_BYTES = b"0123456789+-.eE"
+
+
+def _parse_bulk(data: bytes) -> np.ndarray | None:
+    """The cells of a well-formed log, row-major, or None to defer.
+
+    Well-formed: the exact header line, then at least two lines that
+    each hold three finite numbers made of :data:`_NUMBER_BYTES` only,
+    each line ending in a newline. Anything else -- blank lines, CRLF,
+    spaces, ``nan``, ``1_0``, non-ASCII bytes -- returns None, and the
+    per-line parser decides. numpy parses such cells to the same floats
+    as ``float()``.
+    """
+    header = CSV_HEADER.encode() + b"\n"
+    if not data.startswith(header):
+        return None
+    body = data[len(header):]
+    n = body.count(b"\n")
+    if n < 2 or body.translate(None, _NUMBER_BYTES) != b",,\n" * n:
+        return None
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", newline="\n") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise IoFailure(path, exc) from exc
+        with warnings.catch_warnings():
+            # older numpy warns, rather than raises, on a cell it cannot parse
+            warnings.simplefilter("error")
+            values = np.fromstring(body.replace(b"\n", b","), sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if values.size != 3 * n or not np.isfinite(values).all():
+        return None
+    return values
 
 
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory CSV written by :func:`save_trajectory`.
 
     ``dt`` is inferred from the first two timestamps, then the uniform
-    grid invariant is validated for the whole file.
+    grid invariant is validated for the whole file. A well-formed file
+    is parsed in bulk; any other goes through :func:`_load_strict`, the
+    per-line parser, which alone decides what is accepted and which
+    error is raised.
 
     Raises:
         MissingFile: ``path`` does not exist.
@@ -234,6 +251,15 @@ def load_trajectory(path) -> Trajectory:
     path = Path(path)
     if not path.is_file():
         raise MissingFile(path)
+    with open(path, "rb") as fh:
+        values = _parse_bulk(fh.read())
+    if values is None:
+        return _load_strict(path)
+    return Trajectory(values[0::3], values[1::3], values[2::3])
+
+
+def _load_strict(path) -> Trajectory:
+    """Per-line parser: the specification of :func:`load_trajectory`."""
     with open(path, "r", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:

@@ -1,6 +1,8 @@
 """Two-phase experiments, grid reports, traces, external fits, CLI."""
 
+import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from springsim import (
     EmptySpecList,
     EnergyModel,
     ExperimentSpec,
+    IoFailure,
     MissingTrace,
     Trajectory,
     export_torque_traces,
@@ -24,8 +27,11 @@ from springsim import (
     run_grid,
     save_specs_file,
     save_trajectory,
+    Unreachable,
 )
+from springsim import harness
 from springsim.cli import main as cli_main
+from springsim.svgplot import line_plot
 
 MODEL = EnergyModel()
 
@@ -149,6 +155,29 @@ class TestRunGrid:
         assert (tmp_path / "g" / "failures.csv").is_file()
         assert (tmp_path / "g" / "report.csv").is_file()
 
+    def test_failures_csv_is_valid_csv(self, tmp_path, monkeypatch):
+        # Unreachable's message holds commas: "(must be in (0, 0.56])"
+        real = harness.run_experiment
+
+        def run_or_fail(spec, out_dir, model):
+            if spec.label == "far":
+                raise Unreachable(0.7, 0.56)
+            return real(spec, out_dir, model)
+
+        monkeypatch.setattr(harness, "run_experiment", run_or_fail)
+        specs = [
+            ExperimentSpec("far", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.2),
+            ExperimentSpec("hold", mass=4.1, t_period=1.88, amplitude=0.0, h0=0.2,
+                           overrides={"duration": 2.0}),
+        ]
+        report = run_grid(specs, tmp_path / "g", MODEL)
+        with open(tmp_path / "g" / "failures.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 2 for row in rows)
+        assert rows[0] == ["label", "error"]
+        assert [tuple(row) for row in rows[1:]] == report.failures
+        assert "," in rows[1][1]
+
     def test_empty_spec_list_rejected(self, tmp_path):
         with pytest.raises(EmptySpecList):
             run_grid([], tmp_path / "g", MODEL)
@@ -157,6 +186,33 @@ class TestRunGrid:
         s = paper_table()[0]
         with pytest.raises(ValueError):
             run_grid([s, s], tmp_path / "g", MODEL)
+
+
+class TestAtomicWrites:
+    def test_write_into_missing_dir_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure):
+            save_specs_file(paper_table(), tmp_path / "nope" / "specs.ini")
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "plot.svg"
+        path.write_text("old")
+
+        def no_rename(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        with pytest.raises(IoFailure):
+            line_plot(path, [("a", [0.0, 1.0], [0.0, 1.0])])
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["plot.svg"]
+
+    def test_mode_follows_umask(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            save_trajectory(Trajectory([0.0, 0.01], [0.1, 0.2], [1.0, 1.1]), tmp_path / "t.csv")
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "t.csv").stat().st_mode & 0o777 == 0o640
 
 
 class TestTorqueTraces:

@@ -1,9 +1,12 @@
 """Trajectory construction invariants and CSV round-trips."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from springsim import (
     EmptyFile,
@@ -16,6 +19,8 @@ from springsim import (
     load_trajectory,
     save_trajectory,
 )
+from springsim import trajectory
+from springsim.trajectory import CSV_HEADER
 
 
 def _write(path, text):
@@ -214,3 +219,125 @@ class TestSaveAndRoundTrip:
         save_trajectory(traj, p1)
         save_trajectory(traj, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# --- bulk parser vs the per-line parser ------------------------------------------
+
+#: Finite float64 values from uniformly random bit patterns.
+FLOAT64 = (
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+    .filter(math.isfinite)
+)
+
+#: Cell contents other than a plain ``repr``: the bulk parser must defer
+#: each to the per-line parser or parse it to the same float.
+ODD_CELLS = [
+    "", " 1.5", "1.5 ", " ", "nan", "inf", "-inf", "1e999", "-1e999", "1e-400",
+    "1_0", "0x10", "2.5abc", "1.5,2.5", "+1", "5.", "-.5", "1E5", "1.5e", "1.5.5",
+    "\u0661", "\u00e9",
+]
+
+#: Bytes inside a line: lone CR and other str.splitlines() line boundaries,
+#: NUL, and a byte that is not UTF-8 ("\udcff" encodes to 0xff).
+ODD_CHARS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\x00", "\udcff"]
+
+CELLS = st.one_of(
+    st.sampled_from(ODD_CELLS),
+    st.text(alphabet="0123456789+-.eE", max_size=8),
+    FLOAT64.map(repr),
+    st.tuples(FLOAT64.map(repr), st.sampled_from(ODD_CHARS)).map("".join),
+)
+
+
+@st.composite
+def mutated_logs(draw):
+    """Bytes of a trajectory CSV, well-formed or mutated in a few places."""
+    n = draw(st.integers(0, 5))
+    dt = draw(st.sampled_from([1e-3, 0.01, 0.25]))
+    rows = [[repr(i * dt), repr(draw(FLOAT64)), repr(draw(FLOAT64))] for i in range(n)]
+    ends = ["\n"] * n
+    inserted = {}
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        kind = draw(st.sampled_from(["cell", "cell", "cell", "drop", "crlf", "blank"]))
+        if kind == "cell":
+            rows[i][j] = draw(CELLS)
+        elif kind == "drop" and len(rows[i]) > 1:
+            del rows[i][j]
+        elif kind == "crlf":
+            ends[i] = "\r\n"
+        elif kind == "blank":
+            inserted[i] = draw(st.sampled_from(["\n", "  \n", "\t\n", "\r\n"]))
+    header = draw(st.sampled_from([CSV_HEADER, CSV_HEADER, CSV_HEADER + " ", "t,a,b"]))
+    text = header + "\n"
+    for i, (row, end) in enumerate(zip(rows, ends)):
+        text += inserted.get(i, "") + ",".join(row) + end
+    if n and draw(st.integers(0, 3)) == 0:
+        text = text[:-1]  # no final newline
+    return text.encode("utf-8", "surrogateescape")
+
+
+def _outcome(load, path):
+    """Bit-exact arrays and dt, or the error class with its line or index."""
+    try:
+        traj = load(path)
+    except Exception as exc:
+        return type(exc), getattr(exc, "line_no", None), getattr(exc, "index", None)
+    return traj.dt, traj.t.tobytes(), traj.alpha.tobytes(), traj.tau.tobytes()
+
+
+def _assert_parity(path):
+    assert _outcome(load_trajectory, path) == _outcome(trajectory._load_strict, path)
+
+
+class TestBulkParser:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=mutated_logs())
+    def test_same_result_as_per_line_parser(self, tmp_path, data):
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        _assert_parity(path)
+
+    @pytest.mark.parametrize("cell", ODD_CELLS + [f"1.5{c}" for c in ODD_CHARS])
+    @pytest.mark.parametrize("col", [0, 2])
+    def test_each_odd_cell_same_as_per_line_parser(self, tmp_path, cell, col):
+        rows = [["0.0", "0.1", "1.0"], ["0.01", "0.2", "1.1"], ["0.02", "0.3", "1.2"]]
+        rows[1][col] = cell
+        text = CSV_HEADER + "\n" + "".join(",".join(r) + "\n" for r in rows)
+        path = tmp_path / "odd.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        _assert_parity(path)
+
+    def test_saved_file_takes_bulk_path(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = 500
+        traj = Trajectory(np.arange(n) * 1e-3, rng.standard_normal(n), rng.standard_normal(n))
+        path = tmp_path / "bulk.csv"
+        save_trajectory(traj, path)
+
+        def refuse(path):
+            raise AssertionError("well-formed log went through the per-line parser")
+
+        monkeypatch.setattr(trajectory, "_load_strict", refuse)
+        assert load_trajectory(path) == traj
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0.0,0.1,1.0\r\n0.01,0.2,1.1\r\n",  # CRLF
+            "0.0,0.1,1.0\n\n0.01,0.2,1.1\n",  # blank line
+            "0.0, 0.1,1.0\n0.01,0.2 ,1.1\n",  # spaces around fields
+            "0.0,0.1,1.0\n0.01,0.2,1_1\n",  # underscore digit grouping
+            "0.0,0.1,1.0\n0.01,0.2,1.1",  # no final newline
+        ],
+    )
+    def test_lenient_inputs_still_load(self, tmp_path, body):
+        traj = load_trajectory(_write(tmp_path / "l.csv", CSV_HEADER + "\n" + body))
+        assert len(traj) == 2 and traj.dt == 0.01
