@@ -8,7 +8,6 @@ with the spring, and reports the energy reduction.
 See README.md for the angle/torque conventions and the CLI.
 """
 
-from .backend import BACKEND, HAVE_COMPILED
 from .errors import (
     ConfigError,
     DegenerateTrajectory,
@@ -74,8 +73,6 @@ from .trajectory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "HAVE_COMPILED",
     "ConfigError",
     "ControllerConfig",
     "DegenerateTrajectory",

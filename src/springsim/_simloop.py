@@ -1,8 +1,10 @@
-"""Pure-Python simulation kernel.
+"""The simulation kernel: the integration loop behind every run.
 
-Twin of the compiled kernel in ``_simcore.pyx``: the two must stay
-expression-for-expression identical so that backends agree to rounding.
-See :mod:`springsim.simulator` for the model being integrated.
+Its specification is :func:`springsim.simulator.step`, one substep of
+the same model written out plainly; a test requires the two to agree
+bit for bit, so a change here must be mirrored there. The reference
+formula is inlined from :mod:`springsim.leg` for speed. See
+:mod:`springsim.simulator` for the model being integrated.
 
 Status codes returned by :func:`simulate`:
     0  completed

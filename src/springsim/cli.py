@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -31,6 +32,17 @@ from .simulator import run as run_sim
 from .trajectory import save_trajectory
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of ``--k-motor``: a finite number > 0, else exit code 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="springsim",
@@ -43,19 +55,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a single configuration")
     p_run.add_argument("--config", required=True, help="run config file (INI, [run] section)")
     p_run.add_argument("--out", default="trajectory.csv", help="output trajectory CSV")
-    p_run.add_argument("--k-motor", type=float, default=1.0, help="motor energy constant K")
+    p_run.add_argument(
+        "--k-motor", type=_positive_float, default=1.0, help="motor energy constant K"
+    )
 
     p_grid = sub.add_parser("grid", help="run an experiment grid, write report.csv")
     src = p_grid.add_mutually_exclusive_group(required=True)
     src.add_argument("--table", choices=["paper"], help="built-in benchmark grid")
     src.add_argument("--specs", help="experiment list file (INI, one section per row)")
     p_grid.add_argument("--out", required=True, help="output directory")
-    p_grid.add_argument("--k-motor", type=float, default=1.0, help="motor energy constant K")
+    p_grid.add_argument(
+        "--k-motor", type=_positive_float, default=1.0, help="motor energy constant K"
+    )
 
     p_fit = sub.add_parser("fit", help="fit the optimal spring to a trajectory CSV")
     p_fit.add_argument("trajectory", help="trajectory CSV (t,alpha_rad,tau_Nm)")
     p_fit.add_argument("--json", action="store_true", help="machine-readable output")
-    p_fit.add_argument("--k-motor", type=float, default=1.0, help="motor energy constant K")
+    p_fit.add_argument(
+        "--k-motor", type=_positive_float, default=1.0, help="motor energy constant K"
+    )
 
     p_traces = sub.add_parser(
         "traces", help="export single-period torque overlays from a grid result dir"

@@ -10,7 +10,8 @@ A grid of experiments produces, inside ``out_dir``:
 
     report.csv      label,m,T,A,h0,E0,Ea,mu_star,alpha0_star,ratio
     specs.ini       the resolved experiment list (reusable via --specs)
-    failures.csv    label,error   (only when something failed)
+    failures.csv    label,error   (only when something failed; a clean
+                    rerun removes an older one)
     traces/<label>_no_spring.csv / _with_spring.csv
 
 All files are written atomically (temp + rename) and byte-deterministic;
@@ -28,7 +29,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._fileio import atomic_write, float_rows
-from .errors import ConfigError, DegenerateTrajectory, EmptySpecList, MissingTrace
+from .errors import (
+    ConfigError,
+    DegenerateTrajectory,
+    EmptySpecList,
+    IoFailure,
+    MissingTrace,
+    SpringSimError,
+)
 from .fitting import EnergyModel, FitDiagnostics, energy, fit_optimal
 from .leg import LegGeometry
 from .simulator import ControllerConfig, SimConfig, run
@@ -215,12 +223,15 @@ def run_grid(
 ) -> GridReport:
     """Run every spec, then write report.csv (+ specs.ini, failures.csv).
 
-    Failed specs are recorded (label, error string) and do not stop the
-    remaining rows. Rerunning into the same out_dir reproduces identical
-    bytes.
+    A spec that fails with a :class:`SpringSimError` or ``ValueError`` is
+    recorded (label, error string) and does not stop the remaining rows;
+    any other exception is a bug and propagates. Rerunning into the same
+    out_dir reproduces identical bytes.
 
     Raises:
-        ValueError: Empty spec list or duplicate labels.
+        EmptySpecList: Empty spec list.
+        ValueError: Duplicate labels.
+        IoFailure: A stale failures.csv could not be removed.
     """
     if not specs:
         raise EmptySpecList("spec list is empty")
@@ -235,7 +246,7 @@ def run_grid(
     for spec in specs:
         try:
             results.append(run_experiment(spec, out_dir, model))
-        except Exception as exc:
+        except (SpringSimError, ValueError) as exc:
             failures.append((spec.label, f"{type(exc).__name__}: {exc}"))
 
     lines = [REPORT_HEADER]
@@ -260,10 +271,16 @@ def run_grid(
     report_path = out_dir / "report.csv"
     atomic_write(report_path, "\n".join(lines) + "\n")
     save_specs_file(specs, out_dir / SPECS_FILENAME)
+    failures_path = out_dir / "failures.csv"
     if failures:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([("label", "error"), *failures])
-        atomic_write(out_dir / "failures.csv", buf.getvalue())
+        atomic_write(failures_path, buf.getvalue())
+    else:
+        try:
+            failures_path.unlink(missing_ok=True)  # left by an earlier, failed run
+        except OSError as exc:
+            raise IoFailure(failures_path, exc) from exc
     return GridReport(results=results, failures=failures, report_path=report_path)
 
 
@@ -277,13 +294,16 @@ def load_report(path) -> list[dict]:
         raise ConfigError(f"{path}: not a grid report (bad header)")
     cols = REPORT_HEADER.split(",")
     rows = []
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         vals = line.split(",")
         row: dict = {"label": vals[0]}
-        for name, raw in zip(cols[1:], vals[1:]):
-            row[name] = float(raw)
+        try:
+            for name, raw in zip(cols[1:], vals[1:]):
+                row[name] = float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line_no}: {exc}") from exc
         rows.append(row)
     return rows
 
@@ -324,7 +344,10 @@ def _write_period_overlay(
     out_dir,
 ) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(out_dir, exc) from exc
     n = len(traj_a)
     n_period = round(t_period * control_rate)
     if n_period < 2 or n_period > n or len(traj_b) != n:
@@ -441,7 +464,10 @@ def _spec_from_section(name: str, sec) -> ExperimentSpec:
             continue
         if key not in OVERRIDE_KEYS:
             raise ConfigError(f"[{name}]: unknown key {key!r}")
-        overrides[key] = sec[key] if key == "sine_convention" else float(sec[key])
+        try:
+            overrides[key] = sec[key] if key == "sine_convention" else float(sec[key])
+        except ValueError as exc:
+            raise ConfigError(f"[{name}]: {key}: {exc}") from exc
     try:
         return ExperimentSpec(label=name, overrides=overrides, **required)
     except ValueError as exc:

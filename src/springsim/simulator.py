@@ -42,10 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
+from . import _simloop
 from ._simloop import JACOBIAN_TOL
 from .errors import NonFiniteState, SingularConfiguration
-from .leg import LegGeometry, sine_omega
+from .leg import LegGeometry, ik_angle, jacobian, reference_height, sine_omega
 from .trajectory import SpringParams, Trajectory
 
 
@@ -177,14 +177,14 @@ class SimState:
 
 
 def _reference(cfg: SimConfig, t: float) -> tuple[float, float]:
-    """(theta_ref, dtheta_ref) at time t; same formulas as the kernels."""
-    two_l = 2.0 * cfg.geom.link_len
-    omega = cfg.omega
-    h_ref = cfg.h0 + cfg.amplitude * math.sin(omega * t)
-    theta_ref = 2.0 * math.asin(h_ref / two_l)
-    dh_ref = cfg.amplitude * omega * math.cos(omega * t)
-    dtheta_ref = dh_ref / (cfg.geom.link_len * math.cos(0.5 * theta_ref))
-    return theta_ref, dtheta_ref
+    """(theta_ref, dtheta_ref) at time t, from the formulas in :mod:`.leg`.
+
+    The kernel inlines the same expressions; they round identically.
+    """
+    h_ref = reference_height(cfg.h0, cfg.amplitude, cfg.t_period, t, cfg.sine_convention)
+    theta_ref = ik_angle(cfg.geom, h_ref)
+    dh_ref = cfg.amplitude * cfg.omega * math.cos(cfg.omega * t)
+    return theta_ref, dh_ref / jacobian(cfg.geom, theta_ref)
 
 
 def _equilibrium_theta(cfg: SimConfig, theta_ref0: float) -> float:
@@ -237,8 +237,8 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
 
     On the first substep of a tick the held reference is refreshed from
     the tick time; the PD output is recomputed every substep against the
-    held reference. Numerically identical to one inner iteration of
-    :func:`run` (the pure-Python kernel shares these expressions).
+    held reference. This is the specification of the kernel behind
+    :func:`run`: one call is bit-identical to one of its substeps.
 
     Raises:
         SingularConfiguration: |dh/dtheta| < 1e-6 or theta left (0, pi).
@@ -305,7 +305,7 @@ def run(cfg: SimConfig) -> Trajectory:
     theta_log = np.empty(n_ticks, dtype=np.float64)
     tau_log = np.empty(n_ticks, dtype=np.float64)
     state0 = initial_state(cfg)
-    status, t_fail, theta_fail = backend.simulate_kernel(
+    status, t_fail, theta_fail = _simloop.simulate(
         theta_log,
         tau_log,
         n_ticks,
@@ -328,9 +328,9 @@ def run(cfg: SimConfig) -> Trajectory:
         state0.theta,
         state0.theta_dot,
     )
-    if status == backend.SINGULAR:
+    if status == _simloop.SINGULAR:
         raise SingularConfiguration(theta_fail, t_fail)
-    if status == backend.NONFINITE:
+    if status == _simloop.NONFINITE:
         raise NonFiniteState(t_fail)
     t = np.arange(n_ticks, dtype=np.float64) * ctrl.period
     return Trajectory(t, theta_log, tau_log, dt=ctrl.period)

@@ -260,7 +260,9 @@ def load_trajectory(path) -> Trajectory:
 
 def _load_strict(path) -> Trajectory:
     """Per-line parser: the specification of :func:`load_trajectory`."""
-    with open(path, "r", newline="") as fh:
+    # A byte that is not UTF-8 decodes to a lone surrogate, which no
+    # number or header matches: its line is reported as malformed.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise EmptyFile(path)

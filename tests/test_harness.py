@@ -15,6 +15,7 @@ from springsim import (
     ExperimentSpec,
     IoFailure,
     MissingTrace,
+    SingularConfiguration,
     Trajectory,
     export_torque_traces,
     fit_external,
@@ -177,6 +178,42 @@ class TestRunGrid:
         assert rows[0] == ["label", "error"]
         assert [tuple(row) for row in rows[1:]] == report.failures
         assert "," in rows[1][1]
+
+    def test_only_domain_errors_become_failed_rows(self, tmp_path, monkeypatch):
+        collapse = ExperimentSpec("collapse", mass=4.1, t_period=1.88, amplitude=0.05,
+                                  h0=0.2, overrides={"duration": 2.0, "torque_limit": 5.0})
+        report = run_grid([collapse], tmp_path / "g", MODEL)
+        with open(tmp_path / "g" / "failures.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][0] == "collapse"
+        assert rows[1][1].startswith(SingularConfiguration.__name__)
+        assert [tuple(row) for row in rows[1:]] == report.failures
+
+        def broken(cfg):
+            raise TypeError("a bug, not a failed row")
+
+        monkeypatch.setattr(harness, "run", broken)
+        with pytest.raises(TypeError):
+            run_grid([paper_table()[0]], tmp_path / "g2", MODEL)
+
+    def test_clean_rerun_removes_stale_failures(self, tmp_path):
+        hold = ExperimentSpec("hold", mass=4.1, t_period=1.88, amplitude=0.0, h0=0.2,
+                              overrides={"duration": 2.0})
+        ok = ExperimentSpec("ok", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.2,
+                            overrides={"duration": 2.0})
+        out = tmp_path / "g"
+        assert not run_grid([hold, ok], out, MODEL).ok
+        assert (out / "failures.csv").is_file()
+        assert run_grid([ok], out, MODEL).ok
+        assert not (out / "failures.csv").exists()
+
+    def test_unremovable_stale_failures_is_io_failure(self, tmp_path):
+        out = tmp_path / "g"
+        (out / "failures.csv" / "occupied").mkdir(parents=True)
+        spec = ExperimentSpec("ok", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.2,
+                              overrides={"duration": 2.0})
+        with pytest.raises(IoFailure):
+            run_grid([spec], out, MODEL)
 
     def test_empty_spec_list_rejected(self, tmp_path):
         with pytest.raises(EmptySpecList):
@@ -446,6 +483,53 @@ class TestCli:
     def test_traces_missing_report_exit_one(self, tmp_path):
         rc = cli_main(["traces", str(tmp_path / "void"), "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    @staticmethod
+    def _assert_one_line_error(capsys, command):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"springsim {command}: error: "), err
+        return err
+
+    def test_fit_non_utf8_log_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"t,alpha_rad,tau_Nm\n0.0,0.1,1.0\n0.01,0.2,1.5\xff\n")
+        assert cli_main(["fit", str(path)]) == 1
+        assert "bad.csv:3:" in self._assert_one_line_error(capsys, "fit")
+
+    def test_traces_out_naming_a_file_exit_one(self, grid_dir, tmp_path, capsys):
+        out, _ = grid_dir
+        target = tmp_path / "afile"
+        target.write_text("x")
+        assert cli_main(["traces", str(out), "--out", str(target)]) == 1
+        self._assert_one_line_error(capsys, "traces")
+        assert target.read_text() == "x"
+
+    def test_traces_non_numeric_report_cell_exit_one(self, grid_dir, tmp_path, capsys):
+        out, _ = grid_dir
+        lines = (out / "report.csv").read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",abc"
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "report.csv").write_text("\n".join(lines) + "\n")
+        assert cli_main(["traces", str(bad), "--out", str(tmp_path / "t")]) == 1
+        assert "report.csv:3:" in self._assert_one_line_error(capsys, "traces")
+
+    def test_specs_non_numeric_override_exit_one(self, tmp_path, capsys):
+        p = tmp_path / "kp.ini"
+        p.write_text(
+            "[springsim]\nschema = 1\n\n[x]\nmass = 4.1\nt_period = 1.88\n"
+            "amplitude = 0.05\nh0 = 0.2\nkp = abc\n"
+        )
+        assert cli_main(["grid", "--specs", str(p), "--out", str(tmp_path / "g")]) == 1
+        assert "[x]: kp:" in self._assert_one_line_error(capsys, "grid")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
+    def test_k_motor_must_be_positive_and_finite(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fit", str(tmp_path / "any.csv"), "--k-motor", value])
+        assert exc.value.code == 2
+        assert "--k-motor" in capsys.readouterr().err.splitlines()[-1]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -194,9 +194,27 @@ class TestStaticsAndOracles:
 
 
 class TestStep:
-    def test_step_reproduces_run_exactly(self):
-        cfg = base_cfg(duration=0.5)
+    # step() is the specification of the kernel behind run(): each case
+    # exercises one of the kernel's branches and must agree bit for bit.
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {},
+            {"spring": SpringParams(5.0, 2.8)},
+            {"torque_limit": 11.5},
+            {
+                "controller": ControllerConfig(kp=300.0, kd=1.0, control_rate=50.0),
+                "physics_dt": 3e-3,  # 7 substeps of 1/350 s
+            },
+            {"sine_convention": "paper-literal", "t_period": 0.3},
+        ],
+        ids=["plain", "spring", "torque_limit", "substeps_50hz", "paper_literal"],
+    )
+    def test_step_reproduces_run_exactly(self, kw):
+        cfg = base_cfg(duration=0.5, **kw)
         traj = run(cfg)
+        if cfg.torque_limit is not None:
+            assert np.abs(traj.tau).max() == cfg.torque_limit  # the clamp engaged
         state = initial_state(cfg)
         n_sub = cfg.n_substeps
         logged_theta, logged_tau = [], []

@@ -162,6 +162,22 @@ class TestLoad:
             load_trajectory(p)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "data, line_no",
+        [
+            (b"t,alpha_rad,tau_Nm\n0.0,0.1,1.0\n0.01,0.2,1.5\xff\n0.02,0.3,1.2\n", 3),
+            (b"t,alpha_rad,tau_Nm\xff\n0.0,0.1,1.0\n0.01,0.2,1.1\n", 1),
+            (b"t,alpha_rad,tau_Nm\n0.0,0.1,1.0\n\xff\n0.01,0.2,1.1\n", 3),
+        ],
+        ids=["cell", "header", "own_line"],
+    )
+    def test_non_utf8_byte_carries_line(self, tmp_path, data, line_no):
+        p = tmp_path / "h.csv"
+        p.write_bytes(data)
+        with pytest.raises(MalformedRow) as exc:
+            load_trajectory(p)
+        assert exc.value.line_no == line_no
+
 
 class TestSaveAndRoundTrip:
     def test_single_sample_file_layout(self, tmp_path):
@@ -235,7 +251,7 @@ FLOAT64 = (
 ODD_CELLS = [
     "", " 1.5", "1.5 ", " ", "nan", "inf", "-inf", "1e999", "-1e999", "1e-400",
     "1_0", "0x10", "2.5abc", "1.5,2.5", "+1", "5.", "-.5", "1E5", "1.5e", "1.5.5",
-    "\u0661", "\u00e9",
+    "\u0661", "\u00e9", "\udcff",
 ]
 
 #: Bytes inside a line: lone CR and other str.splitlines() line boundaries,
