@@ -35,8 +35,6 @@ from .fitting import (
     energy_with_spring,
     fit_optimal,
     stationarity_residual,
-    window_fit,
-    window_push,
 )
 from .harness import (
     ExperimentResult,
@@ -127,6 +125,4 @@ __all__ = [
     "save_trajectory",
     "stationarity_residual",
     "step",
-    "window_fit",
-    "window_push",
 ]

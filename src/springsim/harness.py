@@ -231,7 +231,8 @@ def run_grid(
     Raises:
         EmptySpecList: Empty spec list.
         ValueError: Duplicate labels.
-        IoFailure: A stale failures.csv could not be removed.
+        IoFailure: out_dir could not be created, or a stale failures.csv
+            could not be removed.
     """
     if not specs:
         raise EmptySpecList("spec list is empty")
@@ -239,7 +240,10 @@ def run_grid(
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate labels in spec list: {labels}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(out_dir, exc) from exc
 
     results: list[ExperimentResult] = []
     failures: list[tuple[str, str]] = []
@@ -438,9 +442,11 @@ def _read_ini(path) -> configparser.ConfigParser:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if "springsim" not in parser:
         raise ConfigError(f"{path}: missing [springsim] section")
     schema = parser["springsim"].get("schema")

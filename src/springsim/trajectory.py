@@ -106,7 +106,8 @@ class Trajectory:
     Raises:
         ValueError: Empty input, non-finite values, bad ``dt``.
         NonUniformTimestep: Some timestamp deviates from the uniform
-            grid by more than 1e-9 s.
+            grid by more than 1e-9 s, or ``dt`` is inferred and the first
+            two timestamps do not increase.
     """
 
     __slots__ = ("t", "alpha", "tau", "dt")
@@ -128,6 +129,8 @@ class Trajectory:
             if t.size < 2:
                 raise ValueError("dt must be given explicitly for a 1-sample trajectory")
             dt = float(t[1] - t[0])
+            if not dt > 0.0:
+                raise NonUniformTimestep(1, f"t[1]-t[0]={dt!r} is not positive")
         dt = float(dt)
         if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be positive, got {dt!r}")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from springsim import (
     DegenerateTrajectory,
@@ -15,8 +17,6 @@ from springsim import (
     energy_with_spring,
     fit_optimal,
     stationarity_residual,
-    window_fit,
-    window_push,
 )
 from springsim.fitting import _energy_raw
 from springsim.trajectory import Sample
@@ -30,6 +30,34 @@ def _traj(alpha, tau, dt=0.01):
     alpha = np.asarray(alpha, dtype=float)
     tau = np.asarray(tau, dtype=float)
     return Trajectory(np.arange(alpha.size) * dt, alpha, tau, dt=dt)
+
+
+def _assert_fit_matches_batch(window, pairs):
+    """window.fit() is fit_optimal on ``pairs`` to 1e-12, or both are degenerate."""
+    if not pairs:
+        with pytest.raises(DegenerateTrajectory):
+            window.fit()
+        return
+    alpha, tau = (np.array(col, dtype=float) for col in zip(*pairs))
+    traj = Trajectory(np.arange(alpha.size) * window.dt, alpha, tau, dt=window.dt)
+    try:
+        batch = fit_optimal(traj, window.model)
+    except DegenerateTrajectory:
+        with pytest.raises(DegenerateTrajectory):
+            window.fit()
+        return
+    diag = window.fit()
+    assert (diag.n, diag.alpha0_defined, diag.physical) == (
+        batch.n,
+        batch.alpha0_defined,
+        batch.physical,
+    )
+    assert diag.mu_star == pytest.approx(batch.mu_star, rel=1e-12)
+    assert diag.alpha0_star == pytest.approx(batch.alpha0_star, rel=1e-12, nan_ok=True)
+    # At a near-perfect fit the residual is pure rounding: scale by E0.
+    assert diag.residual_energy == pytest.approx(
+        batch.residual_energy, rel=1e-12, abs=1e-12 * energy(traj, window.model)
+    )
 
 
 class TestEnergyModel:
@@ -271,13 +299,15 @@ class TestWindow:
     def test_first_push_sets_sums(self):
         w = WindowState(capacity=4, dt=0.01)
         assert w.n == 0
-        window_push(w, Sample(0.0, 0.5, -2.0))
+        assert w.contents() == []
+        w.push(Sample(0.0, 0.5, -2.0))
         assert w.n == 1
-        assert w.s_a == 0.5
-        assert w.s_t == -2.0
-        assert w.s_aa == 0.25
-        assert w.s_at == -1.0
-        assert w.s_tt == 4.0
+        assert w.contents() == [(0.5, -2.0)]
+        # A second sample makes the window fittable; its sums are exact.
+        w.push(Sample(0.01, 1.5, 2.0))
+        diag = w.fit()
+        assert (diag.n, diag.mu_star, diag.alpha0_star) == (2, 4.0, 1.0)
+        assert diag.residual_energy == 0.0
 
     def test_eviction_keeps_capacity(self):
         w = WindowState(capacity=3, dt=0.01)
@@ -285,7 +315,8 @@ class TestWindow:
             w.push(Sample(i * 0.01, float(i), 2.0 * i))
         assert w.n == 3
         assert w.contents() == [(2.0, 4.0), (3.0, 6.0), (4.0, 8.0)]
-        assert w.s_a == pytest.approx(9.0)
+        diag = w.fit()
+        assert (diag.n, diag.mu_star, diag.alpha0_star) == (3, 2.0, 0.0)
 
     def test_full_window_fit_equals_batch(self):
         rng = np.random.default_rng(14)
@@ -294,12 +325,8 @@ class TestWindow:
         for s in traj:
             w.push(s)
         batch = fit_optimal(traj, MODEL)
-        stream = window_fit(w)
-        assert stream.mu_star == pytest.approx(batch.mu_star, rel=1e-9)
-        assert stream.alpha0_star == pytest.approx(batch.alpha0_star, rel=1e-9)
-        assert stream.residual_energy == pytest.approx(
-            batch.residual_energy, rel=1e-9, abs=1e-9 * max(1.0, energy(traj, MODEL))
-        )
+        # The ring has not wrapped: same samples, same order, same bits.
+        assert w.fit() == batch
 
     def test_linear_data_recovered_exactly(self):
         w = WindowState(capacity=8, dt=0.01)
@@ -324,25 +351,19 @@ class TestWindow:
             w.fit()
 
     def test_sums_stay_exact_after_many_evictions(self):
-        # 10 * capacity pushes, then compare incremental sums against a
-        # recomputation from the retained contents.
+        # 10 * capacity pushes: the window holds exactly the last capacity
+        # pairs, and its fit is the batch fit of those pairs.
         rng = np.random.default_rng(15)
         cap = 64
         w = WindowState(capacity=cap, dt=0.01)
+        pushed = []
         for i in range(10 * cap):
-            w.push(Sample(i * 0.01, float(rng.uniform(-2, 2)), float(rng.uniform(-20, 20))))
-        pairs = w.contents()
-        assert len(pairs) == cap
-        s_a = sum(a for a, _ in pairs)
-        s_t = sum(t for _, t in pairs)
-        s_aa = sum(a * a for a, _ in pairs)
-        s_at = sum(a * t for a, t in pairs)
-        s_tt = sum(t * t for _, t in pairs)
-        assert w.s_a == pytest.approx(s_a, abs=1e-9)
-        assert w.s_t == pytest.approx(s_t, abs=1e-9)
-        assert w.s_aa == pytest.approx(s_aa, abs=1e-9)
-        assert w.s_at == pytest.approx(s_at, abs=1e-9)
-        assert w.s_tt == pytest.approx(s_tt, abs=1e-9)
+            a, t = float(rng.uniform(-2, 2)), float(rng.uniform(-20, 20))
+            pushed.append((a, t))
+            w.push(Sample(i * 0.01, a, t))
+        assert w.n == cap
+        assert w.contents() == pushed[-cap:]
+        _assert_fit_matches_batch(w, pushed[-cap:])
 
     def test_sliding_fits_match_batch_per_slice(self):
         rng = np.random.default_rng(16)
@@ -361,6 +382,66 @@ class TestWindow:
             stream = w.fit()
             assert stream.mu_star == pytest.approx(batch.mu_star, rel=1e-9)
             assert stream.alpha0_star == pytest.approx(batch.alpha0_star, rel=1e-9)
+
+    # Sixteenths of small integers: every sum is exact in any order, so the
+    # ring's order cannot move a fit across a degeneracy threshold and any
+    # difference from the batch fit is a bookkeeping error.
+    _pairs = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).map(
+        lambda p: (p[0] / 16, p[1] / 16)
+    )
+    _ops = st.one_of(
+        st.lists(_pairs, min_size=1, max_size=120),  # a burst of pushes
+        st.sampled_from(["fit", "contents", "copy"]),
+    )
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(cap=st.integers(2, 50), ops=st.lists(_ops, max_size=12))
+    def test_window_is_the_last_capacity_pushes(self, cap, ops):
+        w = WindowState(capacity=cap, dt=0.01)
+        pushed = []
+        for op in ops + ["fit", "contents"]:
+            expected = pushed[-cap:]
+            if isinstance(op, list):
+                for a, t in op:
+                    w.push(Sample(0.01 * len(pushed), a, t))
+                    pushed.append((a, t))
+            elif op == "contents":
+                assert w.n == len(expected)
+                assert w.contents() == expected
+            elif op == "copy":
+                original, w = w, w.copy()
+                w.push(Sample(0.0, 9.0, 9.0))
+                pushed.append((9.0, 9.0))
+                assert original.contents() == expected
+            else:
+                _assert_fit_matches_batch(w, expected)
+
+    def test_badly_conditioned_stream_matches_centred_oracle(self):
+        # 1e-3 rad of motion around 2 rad: the raw moments cancel in six
+        # or seven of their digits, so rounding carried over from evicted
+        # samples would show.
+        rng = np.random.default_rng(17)
+        n, cap, every = 20_000, 4096, 200
+        t = np.arange(n) * 0.01
+        motion = 0.8 * np.sin(2.0 * math.pi * t / 1.7) + 0.2 * rng.uniform(-1.0, 1.0, n)
+        alpha = 2.0 + 1e-3 * motion
+        tau = 12.0 * (alpha - 2.3) + 1e-3 * rng.standard_normal(n)
+        w = WindowState(capacity=cap, dt=0.01)
+        worst = 0.0
+        for i, (a, b) in enumerate(zip(alpha.tolist(), tau.tolist()), start=1):
+            w.push(Sample(0.0, a, b))
+            if i % every:
+                continue
+            lo = max(0, i - cap)
+            win_a, win_t = alpha[lo:i], tau[lo:i]
+            mean_a = math.fsum(win_a) / win_a.size
+            mean_t = math.fsum(win_t) / win_t.size
+            da, dtau = win_a - mean_a, win_t - mean_t
+            mu = math.fsum(da * dtau) / math.fsum(da * da)
+            alpha0 = mean_a - mean_t / mu
+            diag = w.fit()
+            worst = max(worst, abs(diag.mu_star / mu - 1.0), abs(diag.alpha0_star / alpha0 - 1.0))
+        assert worst <= 1e-7
 
     def test_copy_is_independent(self):
         w = WindowState(capacity=4, dt=0.01)

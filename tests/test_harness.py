@@ -524,6 +524,41 @@ class TestCli:
         assert cli_main(["grid", "--specs", str(p), "--out", str(tmp_path / "g")]) == 1
         assert "[x]: kp:" in self._assert_one_line_error(capsys, "grid")
 
+    def test_grid_out_naming_a_file_exit_one(self, tmp_path, capsys):
+        target = tmp_path / "afile"
+        target.write_text("x")
+        assert cli_main(["grid", "--table", "paper", "--out", str(target)]) == 1
+        assert "afile" in self._assert_one_line_error(capsys, "grid")
+        assert target.read_text() == "x"
+
+    @pytest.mark.parametrize("t1", ["0.0", "-0.01"])
+    def test_fit_non_increasing_first_timestamps_exit_one(self, tmp_path, capsys, t1):
+        path = tmp_path / "stuck.csv"
+        path.write_text(f"t,alpha_rad,tau_Nm\n0.0,0.1,1.0\n{t1},0.2,1.5\n0.02,0.3,2.0\n")
+        assert cli_main(["fit", str(path)]) == 1
+        assert "sample index 1" in self._assert_one_line_error(capsys, "fit")
+
+    def test_specs_non_utf8_exit_one(self, tmp_path, capsys):
+        p = tmp_path / "latin1.ini"
+        p.write_bytes(
+            b"[springsim]\nschema = 1\n# caf\xe9\n\n[x]\nmass = 4.1\nt_period = 1.88\n"
+            b"amplitude = 0.05\nh0 = 0.2\n"
+        )
+        assert cli_main(["grid", "--specs", str(p), "--out", str(tmp_path / "g")]) == 1
+        assert "latin1.ini" in self._assert_one_line_error(capsys, "grid")
+        assert not (tmp_path / "g").exists()
+
+    def test_run_config_non_utf8_exit_one(self, tmp_path, capsys):
+        p = tmp_path / "latin1.ini"
+        p.write_bytes(
+            b"[springsim]\nschema = 1\n\n[run]\nmass = 4.1\nt_period = 1.88\n"
+            b"amplitude = 0.05\nh0 = 0.2 # caf\xe9\n"
+        )
+        out = tmp_path / "traj.csv"
+        assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 1
+        assert "latin1.ini" in self._assert_one_line_error(capsys, "run")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
     def test_k_motor_must_be_positive_and_finite(self, tmp_path, capsys, value):
         with pytest.raises(SystemExit) as exc:
