@@ -2,8 +2,11 @@
 
 Every file springsim produces goes through :func:`atomic_write`, so a
 reader never sees a half-written file and a failed write leaves the old
-file in place. Float columns are formatted by :func:`float_rows` with
-``repr``, the shortest string that parses back to the same float.
+file in place; directories are created and stale files removed through
+:func:`make_dir` and :func:`remove_file`. All three raise
+:class:`~springsim.errors.IoFailure` on any OS-level problem. Float
+columns are formatted by :func:`float_rows` with ``repr``, the shortest
+string that parses back to the same float.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ def atomic_write(path, text: str) -> None:
         IoFailure: On any OS-level problem; ``path`` is then unchanged.
     """
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    tmp = path.parent / f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
@@ -45,5 +48,32 @@ def atomic_write(path, text: str) -> None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
+    except OSError as exc:
+        raise IoFailure(path, exc) from exc
+
+
+def make_dir(path) -> None:
+    """Create directory ``path`` and its parents; an existing one is fine.
+
+    Raises:
+        IoFailure: On any OS-level problem, e.g. ``path`` or a parent is a
+            file.
+    """
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(path, exc) from exc
+
+
+def remove_file(path) -> None:
+    """Delete ``path`` if it exists.
+
+    Raises:
+        IoFailure: On any OS-level problem, e.g. ``path`` is a directory.
+    """
+    path = Path(path)
+    try:
+        path.unlink(missing_ok=True)
     except OSError as exc:
         raise IoFailure(path, exc) from exc

@@ -12,7 +12,8 @@ A grid of experiments produces, inside ``out_dir``:
     specs.ini       the resolved experiment list (reusable via --specs)
     failures.csv    label,error   (only when something failed; a clean
                     rerun removes an older one)
-    traces/<label>_no_spring.csv / _with_spring.csv
+    traces/<label>_no_spring.csv / _with_spring.csv   (only for the rows in
+                    report.csv; a rerun removes the traces of other labels)
 
 All files are written atomically (temp + rename) and byte-deterministic;
 failures.csv is quoted where a message holds a comma or a quote.
@@ -28,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._fileio import atomic_write, float_rows
+from ._fileio import atomic_write, float_rows, make_dir, remove_file
 from .errors import (
     ConfigError,
     DegenerateTrajectory,
@@ -49,7 +50,9 @@ REPORT_HEADER = "label,m,T,A,h0,E0,Ea,mu_star,alpha0_star,ratio"
 TRACES_SUBDIR = "traces"
 SPECS_FILENAME = "specs.ini"
 
-_LABEL_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_LABEL = r"[A-Za-z0-9._-]+"
+_LABEL_RE = re.compile(rf"^{_LABEL}$")
+_TRACE_NAME_RE = re.compile(rf"{_LABEL}_(?:no|with)_spring\.csv")
 
 #: SimConfig fields an ExperimentSpec may override (specs-file keys).
 OVERRIDE_KEYS = (
@@ -96,29 +99,24 @@ class ExperimentSpec:
         self.to_sim_config()
 
     def to_sim_config(self, spring: SpringParams | None = None) -> SimConfig:
-        ov = self.overrides
-        geom = LegGeometry(
-            link_len=float(ov.get("link_len", 0.28)),
-            mass=self.mass,
-            g=float(ov.get("g", 9.81)),
-        )
-        controller = ControllerConfig(
-            kp=float(ov.get("kp", 300.0)),
-            kd=float(ov.get("kd", 1.0)),
-            control_rate=float(ov.get("control_rate", 100.0)),
-        )
-        limit = ov.get("torque_limit")
+        """The run this spec describes; fields it does not override keep
+        the defaults of :class:`SimConfig` and its parts."""
+        ov = {
+            k: str(v) if k == "sine_convention" else float(v)
+            for k, v in self.overrides.items()
+        }
+
+        def given(*names: str) -> dict:
+            return {k: ov[k] for k in names if k in ov}
+
         return SimConfig(
-            geom=geom,
-            controller=controller,
+            geom=LegGeometry(mass=self.mass, **given("link_len", "g")),
+            controller=ControllerConfig(**given("kp", "kd", "control_rate")),
             h0=self.h0,
             amplitude=self.amplitude,
             t_period=self.t_period,
-            sine_convention=str(ov.get("sine_convention", "period")),
-            duration=float(ov.get("duration", 10.0)),
-            physics_dt=float(ov.get("physics_dt", 1e-3)),
             spring=spring,
-            torque_limit=float(limit) if limit is not None else None,
+            **given("sine_convention", "duration", "physics_dt", "torque_limit"),
         )
 
 
@@ -167,9 +165,8 @@ def run_experiment(
         DegenerateTrajectory: Phase A produced a constant-angle log (the
             message carries the experiment label).
     """
-    out_dir = Path(out_dir)
-    traces_dir = out_dir / TRACES_SUBDIR
-    traces_dir.mkdir(parents=True, exist_ok=True)
+    traces_dir = Path(out_dir) / TRACES_SUBDIR
+    make_dir(traces_dir)
 
     traj_a = run(spec.to_sim_config())
     try:
@@ -231,8 +228,8 @@ def run_grid(
     Raises:
         EmptySpecList: Empty spec list.
         ValueError: Duplicate labels.
-        IoFailure: out_dir could not be created, or a stale failures.csv
-            could not be removed.
+        IoFailure: out_dir or its traces/ could not be created, or a stale
+            failures.csv or trace could not be removed.
     """
     if not specs:
         raise EmptySpecList("spec list is empty")
@@ -240,10 +237,7 @@ def run_grid(
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate labels in spec list: {labels}")
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(out_dir, exc) from exc
+    make_dir(out_dir / TRACES_SUBDIR)
 
     results: list[ExperimentResult] = []
     failures: list[tuple[str, str]] = []
@@ -281,11 +275,32 @@ def run_grid(
         csv.writer(buf, lineterminator="\n").writerows([("label", "error"), *failures])
         atomic_write(failures_path, buf.getvalue())
     else:
-        try:
-            failures_path.unlink(missing_ok=True)  # left by an earlier, failed run
-        except OSError as exc:
-            raise IoFailure(failures_path, exc) from exc
+        remove_file(failures_path)  # left by an earlier, failed run
+    _remove_stale_traces(out_dir / TRACES_SUBDIR, results)
     return GridReport(results=results, failures=failures, report_path=report_path)
+
+
+def _remove_stale_traces(traces_dir: Path, results: list[ExperimentResult]) -> None:
+    """Delete every trace file in traces_dir that no row of ``results`` wrote.
+
+    Only files named like a trace are candidates, so traces of labels
+    dropped from the spec list, or of rows that failed this time, go and
+    everything else stays.
+
+    Raises:
+        IoFailure: traces_dir could not be listed or a file removed.
+    """
+    keep = {p.name for r in results for p in (r.trace_no_spring, r.trace_with_spring)}
+    try:
+        stale = [
+            p
+            for p in traces_dir.iterdir()
+            if _TRACE_NAME_RE.fullmatch(p.name) and p.name not in keep and p.is_file()
+        ]
+    except OSError as exc:
+        raise IoFailure(traces_dir, exc) from exc
+    for p in stale:
+        remove_file(p)
 
 
 def load_report(path) -> list[dict]:
@@ -293,7 +308,10 @@ def load_report(path) -> list[dict]:
     path = Path(path)
     if not path.is_file():
         raise MissingTrace(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or lines[0] != REPORT_HEADER:
         raise ConfigError(f"{path}: not a grid report (bad header)")
     cols = REPORT_HEADER.split(",")
@@ -348,10 +366,7 @@ def _write_period_overlay(
     out_dir,
 ) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(out_dir, exc) from exc
+    make_dir(out_dir)
     n = len(traj_a)
     n_period = round(t_period * control_rate)
     if n_period < 2 or n_period > n or len(traj_b) != n:
@@ -440,7 +455,7 @@ def _read_ini(path) -> configparser.ConfigParser:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
@@ -526,10 +541,7 @@ def load_run_config(path) -> SimConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         keys -= {"spring_mu", "spring_alpha0"}
-    try:
-        spec = _spec_from_section("run", {k: sec[k] for k in keys})
-    except ConfigError:
-        raise
+    spec = _spec_from_section("run", {k: sec[k] for k in keys})
     try:
         return spec.to_sim_config(spring=spring)
     except ValueError as exc:

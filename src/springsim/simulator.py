@@ -31,6 +31,14 @@ reference (solved by Newton), with the reference velocity. Starting on
 the reference itself would inject a gravity-sag transient that rings at
 sqrt(kp/m_eff) and pollutes the cyclic energy accounting.
 
+Kernel
+------
+The integration loop lives in :func:`run`, with the config bound to
+locals; where it fails it raises :class:`SingularConfiguration` or
+:class:`NonFiniteState` in place, with the angle and time of the failed
+substep. :func:`step` is its specification: one call is one substep of
+the same model, and a test requires the two to agree bit for bit.
+
 Runs are deterministic: identical configs produce bit-identical
 trajectories.
 """
@@ -39,14 +47,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import asin, cos, isfinite, pi, sin
 
 import numpy as np
 
-from . import _simloop
-from ._simloop import JACOBIAN_TOL
 from .errors import NonFiniteState, SingularConfiguration
 from .leg import LegGeometry, ik_angle, jacobian, reference_height, sine_omega
 from .trajectory import SpringParams, Trajectory
+
+#: |dh/dtheta| below this is treated as the straight-leg singularity [m/rad].
+JACOBIAN_TOL = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,44 +303,71 @@ def run(cfg: SimConfig) -> Trajectory:
     """Simulate ``cfg.duration`` seconds and return the logged trajectory.
 
     The log holds (t, theta, tau) at ``control_rate`` (10 s at 100 Hz
-    gives exactly 1000 samples); tau is flexion-positive. Deterministic:
-    identical configs give bit-identical results.
+    gives exactly 1000 samples); tau is flexion-positive: the negated PD
+    output at tick time. Deterministic: identical configs give
+    bit-identical results.
+
+    The loop below is the integration kernel: :func:`step` and the
+    reference formulas of :mod:`.leg` inlined, bit for bit, so a change
+    here is mirrored there.
 
     Raises:
-        SingularConfiguration, NonFiniteState: Propagated from the
-            integration loop.
+        SingularConfiguration: |dh/dtheta| < 1e-6 or theta left (0, pi).
+        NonFiniteState: The state became NaN/inf.
     """
     ctrl = cfg.controller
     n_ticks = cfg.n_ticks
+    n_sub = cfg.n_substeps
+    dt = cfg.effective_dt
+    ctrl_period = ctrl.period
+    link_len, mass, g = cfg.geom.link_len, cfg.geom.mass, cfg.geom.g
+    kp, kd = ctrl.kp, ctrl.kd
+    h0, amp, omega = cfg.h0, cfg.amplitude, cfg.omega
+    has_spring = cfg.spring is not None
+    mu = cfg.spring.mu if has_spring else 0.0
+    alpha0 = cfg.spring.alpha0 if has_spring else 0.0
+    has_limit = cfg.torque_limit is not None
+    torque_limit = cfg.torque_limit if has_limit else 0.0
     theta_log = np.empty(n_ticks, dtype=np.float64)
     tau_log = np.empty(n_ticks, dtype=np.float64)
     state0 = initial_state(cfg)
-    status, t_fail, theta_fail = _simloop.simulate(
-        theta_log,
-        tau_log,
-        n_ticks,
-        cfg.n_substeps,
-        cfg.effective_dt,
-        ctrl.period,
-        cfg.geom.link_len,
-        cfg.geom.mass,
-        cfg.geom.g,
-        ctrl.kp,
-        ctrl.kd,
-        cfg.h0,
-        cfg.amplitude,
-        cfg.omega,
-        cfg.spring.mu if cfg.spring is not None else 0.0,
-        cfg.spring.alpha0 if cfg.spring is not None else 0.0,
-        cfg.spring is not None,
-        cfg.torque_limit if cfg.torque_limit is not None else 0.0,
-        cfg.torque_limit is not None,
-        state0.theta,
-        state0.theta_dot,
-    )
-    if status == _simloop.SINGULAR:
-        raise SingularConfiguration(theta_fail, t_fail)
-    if status == _simloop.NONFINITE:
-        raise NonFiniteState(t_fail)
-    t = np.arange(n_ticks, dtype=np.float64) * ctrl.period
-    return Trajectory(t, theta_log, tau_log, dt=ctrl.period)
+
+    two_l = 2.0 * link_len
+    theta = state0.theta
+    dtheta = state0.theta_dot
+    for k in range(n_ticks):
+        t_k = k * ctrl_period
+        h_ref = h0 + amp * sin(omega * t_k)
+        theta_ref = 2.0 * asin(h_ref / two_l)
+        dh_ref = amp * omega * cos(omega * t_k)
+        dtheta_ref = dh_ref / (link_len * cos(0.5 * theta_ref))
+        u = kp * (theta_ref - theta) + kd * (dtheta_ref - dtheta)
+        if has_limit:
+            if u > torque_limit:
+                u = torque_limit
+            elif u < -torque_limit:
+                u = -torque_limit
+        theta_log[k] = theta
+        tau_log[k] = -u
+        for j in range(n_sub):
+            if j > 0:
+                u = kp * (theta_ref - theta) + kd * (dtheta_ref - dtheta)
+                if has_limit:
+                    if u > torque_limit:
+                        u = torque_limit
+                    elif u < -torque_limit:
+                        u = -torque_limit
+            dh = link_len * cos(0.5 * theta)
+            if dh < JACOBIAN_TOL and dh > -JACOBIAN_TOL:
+                raise SingularConfiguration(theta, t_k + j * dt)
+            m_eff = mass * dh * dh
+            tau_spring = -mu * (theta - alpha0) if has_spring else 0.0
+            acc = (u + tau_spring - mass * g * dh) / m_eff
+            dtheta = dtheta + dt * acc
+            theta = theta + dt * dtheta
+            if not (isfinite(theta) and isfinite(dtheta)):
+                raise NonFiniteState(t_k + (j + 1) * dt)
+            if theta <= 0.0 or theta >= pi:
+                raise SingularConfiguration(theta, t_k + (j + 1) * dt)
+    t = np.arange(n_ticks, dtype=np.float64) * ctrl_period
+    return Trajectory(t, theta_log, tau_log, dt=ctrl_period)

@@ -9,12 +9,15 @@ import pytest
 
 from springsim import (
     ConfigError,
+    ControllerConfig,
     DegenerateTrajectory,
     EmptySpecList,
     EnergyModel,
     ExperimentSpec,
     IoFailure,
+    LegGeometry,
     MissingTrace,
+    SimConfig,
     SingularConfiguration,
     Trajectory,
     export_torque_traces,
@@ -62,6 +65,16 @@ class TestExperimentSpec:
     def test_static_hold_spec_is_constructible(self):
         spec = ExperimentSpec("hold", mass=4.1, t_period=1.88, amplitude=0.0, h0=0.2)
         assert spec.amplitude == 0.0
+
+    def test_defaults_come_from_the_config_dataclasses(self):
+        spec = ExperimentSpec("d", mass=5.0, t_period=1.5, amplitude=0.04, h0=0.21)
+        assert spec.to_sim_config() == SimConfig(
+            geom=LegGeometry(mass=5.0),
+            controller=ControllerConfig(),
+            h0=0.21,
+            amplitude=0.04,
+            t_period=1.5,
+        )
 
     def test_overrides_flow_into_config(self):
         spec = ExperimentSpec(
@@ -213,6 +226,52 @@ class TestRunGrid:
         spec = ExperimentSpec("ok", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.2,
                               overrides={"duration": 2.0})
         with pytest.raises(IoFailure):
+            run_grid([spec], out, MODEL)
+
+    def test_rerun_removes_traces_of_dropped_labels(self, tmp_path):
+        a = ExperimentSpec("a", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.2,
+                           overrides={"duration": 2.0})
+        b = ExperimentSpec("b", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.2,
+                           overrides={"duration": 2.0})
+        out = tmp_path / "g"
+        assert run_grid([a, b], out, MODEL).ok
+        others = ["notes.txt", "b_no_spring.txt", "b_spring.csv"]
+        for name in others:
+            (out / "traces" / name).write_text("keep me")
+        (out / "traces" / "c_with_spring.csv").mkdir()  # named like a trace, not a file
+        assert run_grid([a], out, MODEL).ok
+        assert sorted(p.name for p in (out / "traces").iterdir()) == sorted(
+            ["a_no_spring.csv", "a_with_spring.csv", "c_with_spring.csv", *others]
+        )
+
+    def test_rerun_removes_traces_of_a_row_that_failed_now(self, tmp_path):
+        ok = ExperimentSpec("r", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.2,
+                            overrides={"duration": 2.0})
+        collapse = ExperimentSpec("r", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.2,
+                                  overrides={"duration": 2.0, "torque_limit": 5.0})
+        out = tmp_path / "g"
+        assert run_grid([ok], out, MODEL).ok
+        assert (out / "traces" / "r_no_spring.csv").is_file()
+        report = run_grid([collapse], out, MODEL)
+        assert [lbl for lbl, _ in report.failures] == ["r"]
+        assert list((out / "traces").iterdir()) == []
+
+    def test_unremovable_stale_trace_is_io_failure(self, tmp_path, monkeypatch):
+        spec = ExperimentSpec("ok", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.2,
+                              overrides={"duration": 2.0})
+        out = tmp_path / "g"
+        (out / "traces").mkdir(parents=True)
+        (out / "traces" / "old_with_spring.csv").write_text("stale")
+
+        real_unlink = type(out).unlink
+
+        def refuse_traces(path, missing_ok=False):
+            if path.name.endswith("_spring.csv"):
+                raise PermissionError("refused")
+            real_unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(type(out), "unlink", refuse_traces)
+        with pytest.raises(IoFailure, match="old_with_spring.csv"):
             run_grid([spec], out, MODEL)
 
     def test_empty_spec_list_rejected(self, tmp_path):
@@ -530,6 +589,15 @@ class TestCli:
         assert cli_main(["grid", "--table", "paper", "--out", str(target)]) == 1
         assert "afile" in self._assert_one_line_error(capsys, "grid")
         assert target.read_text() == "x"
+
+    def test_grid_traces_dir_naming_a_file_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        out.mkdir()
+        (out / "traces").write_text("x")
+        assert cli_main(["grid", "--table", "paper", "--out", str(out)]) == 1
+        assert "traces" in self._assert_one_line_error(capsys, "grid")
+        assert (out / "traces").read_text() == "x"
+        assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("t1", ["0.0", "-0.01"])
     def test_fit_non_increasing_first_timestamps_exit_one(self, tmp_path, capsys, t1):

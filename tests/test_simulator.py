@@ -11,6 +11,7 @@ from springsim import (
     NonFiniteState,
     SimConfig,
     SimState,
+    SimulationError,
     SingularConfiguration,
     SpringParams,
     energy,
@@ -230,6 +231,29 @@ class TestStep:
             assert state.tick_index == before.tick_index + 1
         np.testing.assert_array_equal(np.array(logged_theta), traj.alpha)
         np.testing.assert_array_equal(np.array(logged_tau), traj.tau)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"torque_limit": 5.0},  # collapses at t = 0.301 s
+            {"controller": ControllerConfig(kp=1e-3, kd=0.0, control_rate=100.0)},
+            {"torque_limit": 2.0, "physics_dt": 5e-4, "duration": 0.5},
+            # a subnormal mass overflows the acceleration: NonFiniteState
+            {"geom": LegGeometry(link_len=0.28, mass=1e-310, g=9.81), "duration": 0.5},
+        ],
+        ids=["limit_5Nm", "weak_kp", "limit_2Nm_dt_5e-4", "nonfinite"],
+    )
+    def test_step_reproduces_run_failure_exactly(self, kw):
+        cfg = base_cfg(**kw)
+        with pytest.raises(SimulationError) as from_run:
+            run(cfg)
+        state = initial_state(cfg)
+        with pytest.raises(SimulationError) as from_step:
+            for _ in range(cfg.n_ticks * cfg.n_substeps):
+                state = step(state, cfg)
+        assert type(from_step.value) is type(from_run.value)
+        assert from_step.value.t == from_run.value.t
+        assert getattr(from_step.value, "theta", None) == getattr(from_run.value, "theta", None)
 
     def test_time_advances_on_exact_grid(self):
         cfg = base_cfg(duration=0.1)
