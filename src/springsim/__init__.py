@@ -40,7 +40,6 @@ from .harness import (
     ExperimentResult,
     ExperimentSpec,
     GridReport,
-    export_torque_traces,
     export_traces_from_dir,
     fit_external,
     load_report,
@@ -103,7 +102,6 @@ __all__ = [
     "WindowState",
     "energy",
     "energy_with_spring",
-    "export_torque_traces",
     "export_traces_from_dir",
     "fit_external",
     "fit_optimal",

@@ -25,7 +25,8 @@ slope of tau on alpha; ``(mu*, mu* alpha0*)`` is the OLS solution of
 Two degeneracies are handled explicitly:
 
 * zero angle variance  -> :class:`~springsim.errors.DegenerateTrajectory`
-  (the spring is underdetermined);
+  (the spring is underdetermined), and so are angles whose squares sum
+  past the float range;
 * zero angle-torque covariance with nonzero mean torque -> ``mu* = 0``
   but no finite equilibrium exists; the fit returns ``mu_star = 0`` with
   ``alpha0_defined = False`` (``alpha0_star`` is NaN).
@@ -167,26 +168,14 @@ def fit_optimal(traj: Trajectory, model: EnergyModel = EnergyModel()) -> FitDiag
 def _fit_arrays(alpha, tau, dt: float, k: float) -> FitDiagnostics:
     # The fit itself, on bare arrays: fit_optimal and WindowState.fit.
     n = alpha.size
-    sums = (
-        float(np.sum(alpha)),
-        float(np.sum(tau)),
-        float(alpha @ alpha),
-        float(alpha @ tau),
-    )
-    mu, alpha0, defined = _solve_normal_equations(n, *sums)
-    return _diagnostics(alpha, tau, dt, k, n, mu, alpha0, defined)
-
-
-def _solve_normal_equations(
-    n: int, s_a: float, s_t: float, s_aa: float, s_at: float
-) -> tuple[float, float, bool]:
-    """Specialize the stationarity system to (mu, alpha0) from raw sums.
-
-    Returns (mu, alpha0, alpha0_defined); raises DegenerateTrajectory on
-    ~zero angle variance.
-    """
+    s_a = float(np.sum(alpha))
+    s_t = float(np.sum(tau))
+    s_aa = float(alpha @ alpha)
+    s_at = float(alpha @ tau)
     if n < 2:
         raise DegenerateTrajectory(f"need >= 2 samples to fit a spring, got {n}")
+    if not math.isfinite(s_aa):  # else (s_a / n) ** 2 may raise OverflowError
+        raise DegenerateTrajectory(f"sum of squared angles {s_aa!r} is not finite")
     mean_sq = s_aa / n
     variance = mean_sq - (s_a / n) ** 2
     if variance <= VARIANCE_TOL * max(1.0, mean_sq):
@@ -196,31 +185,18 @@ def _solve_normal_equations(
     num_mu = s_a * s_t - n * s_at
     den_mu = s_a * s_a - n * s_aa
     mu = num_mu / den_mu
-    if abs(num_mu) <= COVARIANCE_TOL * max(1.0, abs(s_a * s_t), abs(n * s_at)):
-        # Zero covariance: the best slope is 0, but alpha0 multiplies it,
-        # so no finite equilibrium exists (unless tau is identically 0).
-        return 0.0, math.nan, False
-    alpha0 = (s_t * s_aa - s_at * s_a) / num_mu
-    return mu, alpha0, True
-
-
-def _diagnostics(alpha, tau, dt, k, n, mu, alpha0, defined) -> FitDiagnostics:
+    defined = not abs(num_mu) <= COVARIANCE_TOL * max(1.0, abs(s_a * s_t), abs(n * s_at))
     if defined:
+        alpha0 = (s_t * s_aa - s_at * s_a) / num_mu
         res = _energy_raw(alpha, tau, dt, k, mu, alpha0)
         g_mu, g_a0 = _gradient_raw(alpha, tau, dt, k, mu, alpha0)
     else:
+        # Zero covariance: the best slope is 0, but alpha0 multiplies it,
+        # so no finite equilibrium exists (unless tau is identically 0).
+        mu, alpha0 = 0.0, math.nan
         res = k * float(tau @ tau) * dt
         g_mu, g_a0 = math.nan, 0.0
-    return FitDiagnostics(
-        mu_star=float(mu),
-        alpha0_star=float(alpha0),
-        residual_energy=res,
-        grad_mu=g_mu,
-        grad_alpha0=g_a0,
-        physical=bool(mu >= 0.0),
-        alpha0_defined=bool(defined),
-        n=int(n),
-    )
+    return FitDiagnostics(mu, alpha0, res, g_mu, g_a0, mu >= 0.0, defined, n)
 
 
 # --- sliding-window streaming fit --------------------------------------------

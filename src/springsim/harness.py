@@ -17,6 +17,12 @@ A grid of experiments produces, inside ``out_dir``:
 
 All files are written atomically (temp + rename) and byte-deterministic;
 failures.csv is quoted where a message holds a comma or a quote.
+
+``springsim traces`` reads report.csv, specs.ini and the two traces of
+every report row back from such a directory. A report row must hold
+exactly as many cells as the header; each row needs its spec and both
+trace files, and all of them are checked before the first overlay is
+written.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,6 +59,9 @@ _LABEL = r"[A-Za-z0-9._-]+"
 _LABEL_RE = re.compile(rf"^{_LABEL}$")
 _TRACE_NAME_RE = re.compile(rf"{_LABEL}_(?:no|with)_spring\.csv")
 
+#: The motion parameters every ExperimentSpec sets (required specs-file keys).
+MOTION_KEYS = ("mass", "t_period", "amplitude", "h0")
+
 #: SimConfig fields an ExperimentSpec may override (specs-file keys).
 OVERRIDE_KEYS = (
     "link_len",
@@ -82,21 +90,15 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not _LABEL_RE.match(self.label):
             raise ValueError(f"label must be filesystem-safe, got {self.label!r}")
-        for name in ("mass", "t_period", "h0"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{self.label}: {name} must be > 0, got {v!r}")
-        # amplitude 0 is a legal static hold (it fails later, at fit time,
-        # with DegenerateTrajectory -- not here).
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ValueError(
-                f"{self.label}: amplitude must be >= 0, got {self.amplitude!r}"
-            )
         unknown = set(self.overrides) - set(OVERRIDE_KEYS)
         if unknown:
             raise ValueError(f"{self.label}: unknown overrides {sorted(unknown)}")
-        # Reachability (h0 +/- A inside (0, 2L)) is enforced by SimConfig.
-        self.to_sim_config()
+        # The motion and overrides are checked where they are used: by
+        # SimConfig and its parts.
+        try:
+            self.to_sim_config()
+        except ValueError as exc:
+            raise ValueError(f"{self.label}: {exc}") from exc
 
     def to_sim_config(self, spring: SpringParams | None = None) -> SimConfig:
         """The run this spec describes; fields it does not override keep
@@ -127,9 +129,6 @@ class ExperimentResult:
     spec: ExperimentSpec
     e0: float
     ea: float
-    mu_star: float
-    alpha0_star: float
-    ratio: float
     trace_no_spring: Path
     trace_with_spring: Path
     fit: FitDiagnostics
@@ -138,8 +137,18 @@ class ExperimentResult:
     def __post_init__(self) -> None:
         if not self.e0 > 0:
             raise ValueError(f"{self.spec.label}: e0 must be > 0, got {self.e0!r}")
-        if not (self.ratio >= 0 and self.ratio == self.ea / self.e0):
-            raise ValueError(f"{self.spec.label}: inconsistent ratio")
+
+    @property
+    def mu_star(self) -> float:
+        return self.fit.mu_star
+
+    @property
+    def alpha0_star(self) -> float:
+        return self.fit.alpha0_star
+
+    @property
+    def ratio(self) -> float:
+        return self.ea / self.e0
 
 
 def paper_table() -> list[ExperimentSpec]:
@@ -180,22 +189,23 @@ def run_experiment(
 
     e0 = energy(traj_a, model)
     ea = energy(traj_b, model)
-    path_a = traces_dir / f"{spec.label}_no_spring.csv"
-    path_b = traces_dir / f"{spec.label}_with_spring.csv"
+    path_a, path_b = _trace_paths(traces_dir, spec.label)
     save_trajectory(traj_a, path_a)
     save_trajectory(traj_b, path_b)
     return ExperimentResult(
         spec=spec,
         e0=e0,
         ea=ea,
-        mu_star=diag.mu_star,
-        alpha0_star=diag.alpha0_star,
-        ratio=ea / e0,
         trace_no_spring=path_a,
         trace_with_spring=path_b,
         fit=diag,
         clamped=clamped,
     )
+
+
+def _trace_paths(traces_dir: Path, label: str) -> tuple[Path, Path]:
+    """The (no spring, with spring) trajectory files of one grid row."""
+    return traces_dir / f"{label}_no_spring.csv", traces_dir / f"{label}_with_spring.csv"
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,7 +317,7 @@ def load_report(path) -> list[dict]:
     """Parse report.csv back into one dict per row (floats restored)."""
     path = Path(path)
     if not path.is_file():
-        raise MissingTrace(path)
+        raise ConfigError(f"grid report not found: {path}")
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -320,6 +330,10 @@ def load_report(path) -> list[dict]:
         if not line.strip():
             continue
         vals = line.split(",")
+        if len(vals) != len(cols):
+            raise ConfigError(
+                f"{path}:{line_no}: {len(vals)} cells, the header has {len(cols)}"
+            )
         row: dict = {"label": vals[0]}
         try:
             for name, raw in zip(cols[1:], vals[1:]):
@@ -333,8 +347,10 @@ def load_report(path) -> list[dict]:
 # --- torque traces ------------------------------------------------------------
 
 
-def export_torque_traces(result: ExperimentResult, out_dir) -> tuple[Path, Path]:
-    """Extract one reference period of both torque logs, CSV + SVG overlay.
+def _write_period_overlay(
+    traj_a: Trajectory, traj_b: Trajectory, spec: ExperimentSpec, out_dir
+) -> tuple[Path, Path]:
+    """Cut one reference period of both torque logs into a CSV + SVG overlay.
 
     The window is the last complete period, so its start time is an
     integer multiple of the period (phase-aligned with the reference).
@@ -343,32 +359,13 @@ def export_torque_traces(result: ExperimentResult, out_dir) -> tuple[Path, Path]
         (csv_path, svg_path).
 
     Raises:
-        MissingTrace: A persisted trace file is gone.
+        ConfigError: The logs are too short for a period, or differ in length.
     """
-    for p in (result.trace_no_spring, result.trace_with_spring):
-        if not Path(p).is_file():
-            raise MissingTrace(p)
-    traj_a = load_trajectory(result.trace_no_spring)
-    traj_b = load_trajectory(result.trace_with_spring)
-    spec = result.spec
-    cfg = spec.to_sim_config()
-    return _write_period_overlay(
-        traj_a, traj_b, spec.label, spec.t_period, cfg.controller.control_rate, out_dir
-    )
-
-
-def _write_period_overlay(
-    traj_a: Trajectory,
-    traj_b: Trajectory,
-    label: str,
-    t_period: float,
-    control_rate: float,
-    out_dir,
-) -> tuple[Path, Path]:
+    label = spec.label
     out_dir = Path(out_dir)
     make_dir(out_dir)
     n = len(traj_a)
-    n_period = round(t_period * control_rate)
+    n_period = round(spec.t_period * spec.to_sim_config().controller.control_rate)
     if n_period < 2 or n_period > n or len(traj_b) != n:
         raise ConfigError(
             f"{label}: cannot cut a {n_period}-sample period from {n}/{len(traj_b)} samples"
@@ -395,30 +392,28 @@ def _write_period_overlay(
 
 
 def export_traces_from_dir(result_dir, out_dir) -> list[tuple[Path, Path]]:
-    """Recreate per-row period overlays from a finished grid directory."""
+    """Recreate per-row period overlays from a finished grid directory.
+
+    Every row's spec (else ConfigError) and both trace files (else
+    MissingTrace) are checked before the first overlay is written.
+    """
     result_dir = Path(result_dir)
     rows = load_report(result_dir / "report.csv")
     specs = {s.label: s for s in load_specs_file(result_dir / SPECS_FILENAME)}
-    outputs = []
+    jobs = []
     for row in rows:
-        label = row["label"]
-        spec = specs.get(label)
+        spec = specs.get(row["label"])
         if spec is None:
-            raise ConfigError(f"{result_dir}: spec for report row {label!r} missing")
-        path_a = result_dir / TRACES_SUBDIR / f"{label}_no_spring.csv"
-        path_b = result_dir / TRACES_SUBDIR / f"{label}_with_spring.csv"
-        for p in (path_a, path_b):
+            raise ConfigError(f"{result_dir}: spec for report row {row['label']!r} missing")
+        paths = _trace_paths(result_dir / TRACES_SUBDIR, spec.label)
+        for p in paths:
             if not p.is_file():
                 raise MissingTrace(p)
-        traj_a = load_trajectory(path_a)
-        traj_b = load_trajectory(path_b)
-        cfg = spec.to_sim_config()
-        outputs.append(
-            _write_period_overlay(
-                traj_a, traj_b, label, spec.t_period, cfg.controller.control_rate, out_dir
-            )
-        )
-    return outputs
+        jobs.append((spec, paths))
+    return [
+        _write_period_overlay(load_trajectory(path_a), load_trajectory(path_b), spec, out_dir)
+        for spec, (path_a, path_b) in jobs
+    ]
 
 
 # --- external-log fitting -----------------------------------------------------
@@ -474,14 +469,14 @@ def _read_ini(path) -> configparser.ConfigParser:
 
 def _spec_from_section(name: str, sec) -> ExperimentSpec:
     try:
-        required = {k: float(sec[k]) for k in ("mass", "t_period", "amplitude", "h0")}
+        required = {k: float(sec[k]) for k in MOTION_KEYS}
     except KeyError as exc:
         raise ConfigError(f"[{name}]: missing required key {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"[{name}]: {exc}") from exc
     overrides: dict = {}
     for key in sec:
-        if key in ("mass", "t_period", "amplitude", "h0"):
+        if key in MOTION_KEYS:
             continue
         if key not in OVERRIDE_KEYS:
             raise ConfigError(f"[{name}]: unknown key {key!r}")
@@ -513,10 +508,7 @@ def save_specs_file(specs: list[ExperimentSpec], path) -> None:
     lines = ["[springsim]", f"schema = {SCHEMA_VERSION}", ""]
     for s in specs:
         lines.append(f"[{s.label}]")
-        lines.append(f"mass = {_fmt(s.mass)}")
-        lines.append(f"t_period = {_fmt(s.t_period)}")
-        lines.append(f"amplitude = {_fmt(s.amplitude)}")
-        lines.append(f"h0 = {_fmt(s.h0)}")
+        lines.extend(f"{key} = {_fmt(getattr(s, key))}" for key in MOTION_KEYS)
         for key in OVERRIDE_KEYS:
             if key in s.overrides:
                 v = s.overrides[key]

@@ -58,6 +58,14 @@ from .trajectory import SpringParams, Trajectory
 #: |dh/dtheta| below this is treated as the straight-leg singularity [m/rad].
 JACOBIAN_TOL = 1e-6
 
+#: Work budget of one run: the largest ``(duration * control_rate) *
+#: (control period / physics_dt)`` a SimConfig accepts, each factor taken
+#: before rounding and at least 1. Measured at 1e6 and scaled (2-vCPU x86-64
+#: VM, Python 3.11.7, numpy 2.4.6), the worst case is about 140 s of kernel
+#: time and 5 GB of logs when every substep is a tick (1.4 us, 50 B a
+#: tick), or about 47 s when one tick holds them all (0.47 us a substep).
+MAX_SUBSTEPS = 10**8
+
 
 @dataclass(frozen=True, slots=True)
 class ControllerConfig:
@@ -143,6 +151,14 @@ class SimConfig:
         ):
             raise ValueError(f"torque_limit must be > 0, got {self.torque_limit!r}")
         sine_omega(self.t_period, self.sine_convention)  # validates the enum
+        # Before n_ticks/n_substeps round them: round(inf) raises.
+        ticks = max(1.0, self.duration * self.controller.control_rate)
+        substeps = max(1.0, self.controller.period / self.physics_dt)
+        if not ticks * substeps <= MAX_SUBSTEPS:
+            raise ValueError(
+                f"duration*control_rate x period/physics_dt = {ticks!r} x {substeps!r} "
+                f"substeps exceeds MAX_SUBSTEPS = {MAX_SUBSTEPS}"
+            )
 
     @property
     def omega(self) -> float:

@@ -1,10 +1,10 @@
 """Property test: no input reaching the command line ends in a traceback.
 
-Mutated specs and run-config INI text, ``report.csv`` contents and flag
-lists go through ``cli.main``. Every outcome must be an exit code in
-{0, 1, 2}, argparse's ``SystemExit`` included; any other exception
-fails the test. The base inputs simulate 0.05 s, so one example costs
-milliseconds.
+Mutated specs and run-config INI text, ``report.csv`` contents,
+trajectory logs and flag lists go through ``cli.main``. Every outcome
+must be an exit code in {0, 1, 2}, argparse's ``SystemExit`` included;
+any other exception fails the test. The base inputs simulate 0.05 s,
+so one example costs milliseconds.
 """
 
 import contextlib
@@ -57,22 +57,29 @@ spring_mu = 5
 spring_alpha0 = 2.8
 """
 
-# Odd values for an INI key or a report cell. Values that ask for a long
-# run (a tiny physics_dt or control_rate) are legal input, not a fault,
-# so none is listed: "1_0" (10.0) is the largest number here.
+# Odd values for an INI key, a report cell or a log cell. 1e300 and
+# 1e-300 as duration, physics_dt or control_rate ask for far more
+# substeps than SimConfig's work budget allows, so they fail at config
+# time; apart from them "1_0" (10.0) is the largest number here.
 VALUES = [
     b"", b"abc", b"nan", b"inf", b"-inf", b"-1", b"0", b"1e999", b"0x10", b"1_0",
-    b"0.5", b"2", b"%", b"%(x)s", b"period", b"paper-literal", "café".encode(),
-    b"\xff", b" ", b"a,b", b'"',
+    b"0.5", b"2", b"1e300", b"1e-300", b"%", b"%(x)s", b"period", b"paper-literal",
+    "café".encode(), b"\xff", b" ", b"a,b", b'"',
 ]
 INI_LINES = [
     b"[springsim]", b"[a]", b"[b]", b"[run]", b"[DEFAULT]", b"[", b"=", b"schema = 2",
     b"kp = 5", b"colour = red", b"no separator", b"  continued", b"spring_mu = 1",
     b"torque_limit = 2", b"# comment", b"duration = 0.5", b"mass = 4.1",
+    b"duration = 1e300", b"duration = 1e-300", b"physics_dt = 1e300",
+    b"physics_dt = 1e-300", b"control_rate = 1e300", b"control_rate = 1e-300",
 ]
 REPORT_LINES = [
     b"label,m,T,A,h0,E0,Ea,mu_star,alpha0_star,ratio", b"a", b"b,1", b"zzz,1,2,3",
     b",,,,,,,,,", b"a,4.1,0.02,0.05,0.2,1,1,1,1,1,extra",
+]
+LOG_LINES = [
+    b"t,alpha_rad,tau_Nm", b"0.0,0.1,1.0", b"0.01,0.2", b"0.02,0.3,2.0,9", b"",
+    b"1e300,1e300,1e300", b"-0.01,0.1,1.0", b"\r",
 ]
 FLAGS = [
     "run", "grid", "fit", "traces", "--config", "--specs", "--out", "--table", "paper",
@@ -141,15 +148,25 @@ def base_result(tmp_path_factory):
 
 # Crashes this test found, each ending in a traceback before its fix:
 # configparser interpolation of "%" in a specs or run-config value, a
-# report.csv byte that is not UTF-8, and an empty --out file name.
+# report.csv byte that is not UTF-8, and an empty --out file name. Two
+# more once 1e300 was in the vocabulary: duration*control_rate overflowing
+# to inf (round() raised OverflowError; now SimConfig's work budget
+# rejects it) and a logged angle of 1e300, whose square overflowed in the
+# fit.
 @example(template=TEMPLATES[0], flag_edits=[], ini_edits=[("field", 1, 1, b"%(x)s")],
-         report_edits=[])
+         report_edits=[], log_edits=[])
 @example(template=TEMPLATES[1], flag_edits=[], ini_edits=[("field", 4, 1, b"%")],
-         report_edits=[])
+         report_edits=[], log_edits=[])
 @example(template=TEMPLATES[3], flag_edits=[], ini_edits=[],
-         report_edits=[("field", 0, 0, b"\xff")])
+         report_edits=[("field", 0, 0, b"\xff")], log_edits=[])
 @example(template=TEMPLATES[1], flag_edits=[("replace", 4, "")], ini_edits=[],
-         report_edits=[])
+         report_edits=[], log_edits=[])
+@example(template=TEMPLATES[0], flag_edits=[],
+         ini_edits=[("field", 8, 1, b"1e300"), ("insert", 9, 21, b""),
+                    ("insert", 9, 20, b"")],
+         report_edits=[], log_edits=[])
+@example(template=TEMPLATES[2], flag_edits=[], ini_edits=[], report_edits=[],
+         log_edits=[("field", 2, 1, b"1e300")])
 @settings(max_examples=150, deadline=None, database=None)
 @given(
     template=st.sampled_from(TEMPLATES),
@@ -160,8 +177,10 @@ def base_result(tmp_path_factory):
     ),
     ini_edits=edits(VALUES),
     report_edits=edits(VALUES),
+    log_edits=edits(VALUES),
 )
-def test_cli_never_raises(base_result, template, flag_edits, ini_edits, report_edits):
+def test_cli_never_raises(base_result, template, flag_edits, ini_edits, report_edits,
+                          log_edits):
     argv, ini = list(template[0]), template[1]
     for op, i, flag in flag_edits:
         i %= len(argv) + 1
@@ -179,10 +198,12 @@ def test_cli_never_raises(base_result, template, flag_edits, ini_edits, report_e
         report = (res / "report.csv").read_bytes()
         (res / "report.csv").write_bytes(mutate(report, b",", report_edits, REPORT_LINES))
         (tmp / "in.ini").write_bytes(mutate(ini, b"=", ini_edits, INI_LINES))
+        log = (base_result / "traces" / "a_no_spring.csv").read_bytes()
+        (tmp / "log.csv").write_bytes(mutate(log, b",", log_edits, LOG_LINES))
         (tmp / "afile").write_text("x")
         paths = {
             "{ini}": tmp / "in.ini",
-            "{log}": base_result / "traces" / "a_no_spring.csv",
+            "{log}": tmp / "log.csv",
             "{res}": res,
             "{out}": tmp / "out",
             "{traj}": tmp / "traj.csv",

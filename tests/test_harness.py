@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from springsim import (
     SimConfig,
     SingularConfiguration,
     Trajectory,
-    export_torque_traces,
+    export_traces_from_dir,
     fit_external,
     load_report,
     load_run_config,
@@ -313,9 +314,9 @@ class TestAtomicWrites:
 
 class TestTorqueTraces:
     def test_one_period_window(self, grid_dir, tmp_path):
-        _, report = grid_dir
-        baseline = report.results[0]
-        csv_path, svg_path = export_torque_traces(baseline, tmp_path / "traces")
+        out, _ = grid_dir
+        csv_path, svg_path = export_traces_from_dir(out, tmp_path / "traces")[0]
+        assert csv_path.name == "baseline_torques.csv"
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "t,tau_no_spring_Nm,tau_with_spring_Nm"
         assert len(lines) == 1 + 188  # T * rate = 1.88 s * 100 Hz
@@ -323,18 +324,19 @@ class TestTorqueTraces:
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
     def test_window_is_phase_aligned(self, grid_dir, tmp_path):
-        _, report = grid_dir
-        baseline = report.results[0]
-        csv_path, _ = export_torque_traces(baseline, tmp_path / "tr2")
+        out, _ = grid_dir
+        csv_path, _ = export_traces_from_dir(out, tmp_path / "tr2")[0]
+        assert csv_path.name == "baseline_torques.csv"
         rows = [l.split(",") for l in csv_path.read_text().splitlines()[1:]]
         t_rel = np.array([float(r[0]) for r in rows])
         assert t_rel[0] == 0.0
         assert t_rel[-1] == pytest.approx(1.87, abs=1e-9)
 
     def test_spring_curve_has_smaller_rms(self, grid_dir, tmp_path):
-        _, report = grid_dir
-        for result in report.results:
-            csv_path, _ = export_torque_traces(result, tmp_path / "tr3")
+        out, report = grid_dir
+        outputs = export_traces_from_dir(out, tmp_path / "tr3")
+        assert len(outputs) == len(report.results)
+        for csv_path, _ in outputs:
             rows = [l.split(",") for l in csv_path.read_text().splitlines()[1:]]
             tau_a = np.array([float(r[1]) for r in rows])
             tau_b = np.array([float(r[2]) for r in rows])
@@ -353,10 +355,10 @@ class TestTorqueTraces:
         assert np.abs(traj_b.tau).max() < 2.5
 
     def test_missing_trace_raises(self, tmp_path):
-        result = run_experiment(paper_table()[0], tmp_path / "exp", MODEL)
-        result.trace_with_spring.unlink()
+        report = run_grid(paper_table()[:1], tmp_path / "exp", MODEL)
+        report.results[0].trace_with_spring.unlink()
         with pytest.raises(MissingTrace):
-            export_torque_traces(result, tmp_path / "out")
+            export_traces_from_dir(tmp_path / "exp", tmp_path / "out")
 
 
 class TestFitExternal:
@@ -528,6 +530,12 @@ class TestCli:
         assert cli_main(["fit", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_fit_angle_squares_past_float_range_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("t,alpha_rad,tau_Nm\n0.0,0.1,1.0\n0.01,1e300,1.5\n0.02,0.3,2.0\n")
+        assert cli_main(["fit", str(path)]) == 1
+        assert "not finite" in self._assert_one_line_error(capsys, "fit")
+
     def test_fit_missing_file_exit_one(self, tmp_path):
         assert cli_main(["fit", str(tmp_path / "nope.csv")]) == 1
 
@@ -539,9 +547,11 @@ class TestCli:
         assert (tmp_path / "t" / "baseline_torques.svg").is_file()
         assert (tmp_path / "t" / "period_3.77_torques.csv").is_file()
 
-    def test_traces_missing_report_exit_one(self, tmp_path):
+    def test_traces_missing_report_exit_one(self, tmp_path, capsys):
         rc = cli_main(["traces", str(tmp_path / "void"), "--out", str(tmp_path / "o")])
         assert rc == 1
+        err = self._assert_one_line_error(capsys, "traces")
+        assert f"grid report not found: {tmp_path / 'void' / 'report.csv'}" in err
 
     @staticmethod
     def _assert_one_line_error(capsys, command):
@@ -573,6 +583,51 @@ class TestCli:
         (bad / "report.csv").write_text("\n".join(lines) + "\n")
         assert cli_main(["traces", str(bad), "--out", str(tmp_path / "t")]) == 1
         assert "report.csv:3:" in self._assert_one_line_error(capsys, "traces")
+
+    def test_traces_short_report_row_exit_one(self, grid_dir, tmp_path, capsys):
+        out, _ = grid_dir
+        res = tmp_path / "res"
+        shutil.copytree(out, res)
+        lines = (res / "report.csv").read_text().splitlines()
+        lines[2] = lines[2].split(",")[0]  # a label and no values
+        (res / "report.csv").write_text("\n".join(lines) + "\n")
+        assert cli_main(["traces", str(res), "--out", str(tmp_path / "t")]) == 1
+        err = self._assert_one_line_error(capsys, "traces")
+        assert "report.csv:3: 1 cells, the header has 10" in err
+
+    def test_traces_missing_trace_writes_no_overlay(self, grid_dir, tmp_path, capsys):
+        out, _ = grid_dir
+        res = tmp_path / "res"
+        shutil.copytree(out, res)
+        (res / "traces" / "h0_0.15_with_spring.csv").unlink()  # the third row's
+        assert cli_main(["traces", str(res), "--out", str(tmp_path / "t")]) == 1
+        assert "h0_0.15_with_spring.csv" in self._assert_one_line_error(capsys, "traces")
+        assert list((tmp_path / "t").glob("*")) == []
+
+    def test_grid_run_length_overflow_exit_one(self, tmp_path, capsys):
+        # duration*control_rate overflows to inf; the run is never started
+        p = tmp_path / "huge.ini"
+        p.write_text(
+            "[springsim]\nschema = 1\n\n[x]\nmass = 4.1\nt_period = 1.88\n"
+            "amplitude = 0.05\nh0 = 0.2\nduration = 1e300\ncontrol_rate = 1e300\n"
+            "physics_dt = 1e-301\n"
+        )
+        assert cli_main(["grid", "--specs", str(p), "--out", str(tmp_path / "g")]) == 1
+        err = self._assert_one_line_error(capsys, "grid")
+        assert "[x]: x: " in err and "MAX_SUBSTEPS" in err
+        assert not (tmp_path / "g").exists()
+
+    def test_run_config_run_length_overflow_exit_one(self, tmp_path, capsys):
+        p = tmp_path / "huge.ini"
+        p.write_text(
+            "[springsim]\nschema = 1\n\n[run]\nmass = 4.1\nt_period = 1.88\n"
+            "amplitude = 0.05\nh0 = 0.2\nduration = 1e300\ncontrol_rate = 1e300\n"
+            "physics_dt = 1e-301\n"
+        )
+        out = tmp_path / "traj.csv"
+        assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 1
+        assert "MAX_SUBSTEPS" in self._assert_one_line_error(capsys, "run")
+        assert not out.exists()
 
     def test_specs_non_numeric_override_exit_one(self, tmp_path, capsys):
         p = tmp_path / "kp.ini"

@@ -22,6 +22,7 @@ from springsim import (
     save_trajectory,
     step,
 )
+from springsim.simulator import MAX_SUBSTEPS
 
 GEOM = LegGeometry(link_len=0.28, mass=4.1, g=9.81)
 PD = ControllerConfig(kp=300.0, kd=1.0, control_rate=100.0)
@@ -71,6 +72,30 @@ class TestConfigValidation:
     def test_torque_limit_positive(self):
         with pytest.raises(ValueError):
             base_cfg(torque_limit=0.0)
+
+    # Each of these asks for far more substeps than MAX_SUBSTEPS; the
+    # config rejects it before anything is run or allocated.
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(physics_dt=1e-300),  # ~1e298 substeps a tick
+            dict(controller=ControllerConfig(control_rate=1e-9)),  # 1e12 in one tick
+            dict(duration=1e12),  # 1e14 ticks: np.empty would fail
+            dict(duration=1e300),
+            # duration*control_rate overflows to inf: round() would raise
+            dict(duration=1e300, controller=ControllerConfig(control_rate=1e300),
+                 physics_dt=1e-301),
+        ],
+    )
+    def test_work_budget_rejects_runaway_runs(self, kw):
+        with pytest.raises(ValueError, match="substeps exceeds MAX_SUBSTEPS"):
+            base_cfg(**kw)
+
+    def test_work_budget_is_inclusive(self):
+        cfg = base_cfg(duration=1e6, physics_dt=0.01)  # 1e8 ticks of 1 substep
+        assert cfg.n_ticks * cfg.n_substeps == MAX_SUBSTEPS
+        with pytest.raises(ValueError, match="MAX_SUBSTEPS"):
+            base_cfg(duration=1.0000001e6, physics_dt=0.01)
 
     def test_substep_quantization(self):
         cfg = base_cfg(physics_dt=1e-3)
