@@ -32,7 +32,6 @@ from .fitting import (
     FitDiagnostics,
     WindowState,
     energy,
-    energy_with_spring,
     fit_optimal,
     stationarity_residual,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "Unreachable",
     "WindowState",
     "energy",
-    "energy_with_spring",
     "export_traces_from_dir",
     "fit_external",
     "fit_optimal",

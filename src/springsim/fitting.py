@@ -26,7 +26,8 @@ Two degeneracies are handled explicitly:
 
 * zero angle variance  -> :class:`~springsim.errors.DegenerateTrajectory`
   (the spring is underdetermined), and so are angles whose squares sum
-  past the float range;
+  past the float range and a fit whose ``mu*`` or residual energy is
+  not finite;
 * zero angle-torque covariance with nonzero mean torque -> ``mu* = 0``
   but no finite equilibrium exists; the fit returns ``mu_star = 0`` with
   ``alpha0_defined = False`` (``alpha0_star`` is NaN).
@@ -35,10 +36,10 @@ The sliding-window fitter re-fits the spring online. A push only records
 the sample; a fit copies the retained samples into numpy in bulk and
 runs the batch fit's own code on them, so it is exact on every call (no
 running sums, no drift) at O(capacity) per fit. At capacity 4096 a push
-costs about a third of a running-sum update and a fit about nine times a
-running-sum fit (0.15 vs 0.5 us, 36 vs 4 us on a 2-vCPU x86-64 VM), so
-the ring is the cheaper of the two whenever fits come less often than
-about every 100 pushes.
+costs about a third of a running-sum update and a fit about six times a
+running-sum fit (0.36 vs 1.1 us, 40 vs 6.5 us; medians on a shared
+2-vCPU x86-64 VM), so the ring is the cheaper of the two whenever fits
+come less often than about every 45 pushes.
 """
 
 from __future__ import annotations
@@ -84,10 +85,6 @@ class FitDiagnostics:
         alpha0_star: Fitted equilibrium [rad]; NaN when
             ``alpha0_defined`` is False.
         residual_energy: Spring-compensated energy at the optimum [J].
-        grad_mu: dE/dmu at the reported optimum (NaN when the
-            equilibrium is undefined).
-        grad_alpha0: dE/dalpha0 at the reported optimum.
-        physical: True iff ``mu_star >= 0`` (realizable passive spring).
         alpha0_defined: False when the tau-alpha covariance is ~0 and no
             finite equilibrium exists (``mu_star`` is then 0).
         n: Number of samples the fit used.
@@ -96,37 +93,34 @@ class FitDiagnostics:
     mu_star: float
     alpha0_star: float
     residual_energy: float
-    grad_mu: float
-    grad_alpha0: float
-    physical: bool
-    alpha0_defined: bool = True
-    n: int = 0
+    alpha0_defined: bool
+    n: int
 
-    def spring(self) -> SpringParams:
-        """The fit as SpringParams; requires a physical, defined optimum."""
-        if not (self.physical and self.alpha0_defined):
-            raise ValueError(f"fit is not a realizable spring: {self}")
-        return SpringParams(self.mu_star, self.alpha0_star)
+    @property
+    def physical(self) -> bool:
+        """True iff ``mu_star >= 0`` (a realizable passive spring)."""
+        return self.mu_star >= 0.0
+
+    @property
+    def spring(self) -> SpringParams | None:
+        """The fit as a spring; None when not physical or alpha0 is undefined."""
+        if self.physical and self.alpha0_defined:
+            return SpringParams(self.mu_star, self.alpha0_star)
+        return None
 
 
 # --- energy accounting -------------------------------------------------------
 
 
 def energy(traj: Trajectory, model: EnergyModel = EnergyModel()) -> float:
-    """Motor energy K * sum(tau^2) * dt over the trajectory [J]."""
-    return model.k_motor * float(traj.tau @ traj.tau) * traj.dt
-
-
-def energy_with_spring(
-    traj: Trajectory, spring: SpringParams, model: EnergyModel = EnergyModel()
-) -> float:
-    """Motor energy with the spring carrying mu*(alpha - alpha0) of tau."""
-    return _energy_raw(traj.alpha, traj.tau, traj.dt, model.k_motor, spring.mu, spring.alpha0)
+    """Motor energy K * sum(tau^2) * dt over the trajectory [J] (inf past float range)."""
+    with np.errstate(over="ignore"):
+        return model.k_motor * float(traj.tau @ traj.tau) * traj.dt
 
 
 def _energy_raw(alpha, tau, dt, k, mu, alpha0) -> float:
-    # Raw-parameter variant: fitters must evaluate candidate (mu, alpha0)
-    # pairs that SpringParams would reject (negative stiffness).
+    # Motor energy with a spring carrying mu*(alpha - alpha0) of tau, for
+    # any (mu, alpha0): fitters evaluate negative stiffness too.
     r = tau - mu * (alpha - alpha0)
     return k * float(r @ r) * dt
 
@@ -167,36 +161,39 @@ def fit_optimal(traj: Trajectory, model: EnergyModel = EnergyModel()) -> FitDiag
 
 def _fit_arrays(alpha, tau, dt: float, k: float) -> FitDiagnostics:
     # The fit itself, on bare arrays: fit_optimal and WindowState.fit.
-    n = alpha.size
-    s_a = float(np.sum(alpha))
-    s_t = float(np.sum(tau))
-    s_aa = float(alpha @ alpha)
-    s_at = float(alpha @ tau)
-    if n < 2:
-        raise DegenerateTrajectory(f"need >= 2 samples to fit a spring, got {n}")
-    if not math.isfinite(s_aa):  # else (s_a / n) ** 2 may raise OverflowError
-        raise DegenerateTrajectory(f"sum of squared angles {s_aa!r} is not finite")
-    mean_sq = s_aa / n
-    variance = mean_sq - (s_a / n) ** 2
-    if variance <= VARIANCE_TOL * max(1.0, mean_sq):
-        raise DegenerateTrajectory(
-            f"angle variance {variance!r} is ~0: spring parameters underdetermined"
-        )
-    num_mu = s_a * s_t - n * s_at
-    den_mu = s_a * s_a - n * s_aa
-    mu = num_mu / den_mu
-    defined = not abs(num_mu) <= COVARIANCE_TOL * max(1.0, abs(s_a * s_t), abs(n * s_at))
-    if defined:
-        alpha0 = (s_t * s_aa - s_at * s_a) / num_mu
-        res = _energy_raw(alpha, tau, dt, k, mu, alpha0)
-        g_mu, g_a0 = _gradient_raw(alpha, tau, dt, k, mu, alpha0)
-    else:
-        # Zero covariance: the best slope is 0, but alpha0 multiplies it,
-        # so no finite equilibrium exists (unless tau is identically 0).
-        mu, alpha0 = 0.0, math.nan
-        res = k * float(tau @ tau) * dt
-        g_mu, g_a0 = math.nan, 0.0
-    return FitDiagnostics(mu, alpha0, res, g_mu, g_a0, mu >= 0.0, defined, n)
+    # Sums past the float range come out as inf or NaN without a numpy
+    # warning; the finiteness checks reject them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = alpha.size
+        s_a = float(np.sum(alpha))
+        s_t = float(np.sum(tau))
+        s_aa = float(alpha @ alpha)
+        s_at = float(alpha @ tau)
+        if n < 2:
+            raise DegenerateTrajectory(f"need >= 2 samples to fit a spring, got {n}")
+        if not math.isfinite(s_aa):  # else (s_a / n) ** 2 may raise OverflowError
+            raise DegenerateTrajectory(f"sum of squared angles {s_aa!r} is not finite")
+        mean_sq = s_aa / n
+        variance = mean_sq - (s_a / n) ** 2
+        if variance <= VARIANCE_TOL * max(1.0, mean_sq):
+            raise DegenerateTrajectory(
+                f"angle variance {variance!r} is ~0: spring parameters underdetermined"
+            )
+        num_mu = s_a * s_t - n * s_at
+        den_mu = s_a * s_a - n * s_aa
+        mu = num_mu / den_mu
+        defined = not abs(num_mu) <= COVARIANCE_TOL * max(1.0, abs(s_a * s_t), abs(n * s_at))
+        if defined:
+            alpha0 = (s_t * s_aa - s_at * s_a) / num_mu
+            res = _energy_raw(alpha, tau, dt, k, mu, alpha0)
+        else:
+            # Zero covariance: the best slope is 0, but alpha0 multiplies it,
+            # so no finite equilibrium exists (unless tau is identically 0).
+            mu, alpha0 = 0.0, math.nan
+            res = k * float(tau @ tau) * dt
+        if not (math.isfinite(mu) and math.isfinite(res)):
+            raise DegenerateTrajectory(f"fit is not finite: mu* {mu!r}, residual {res!r}")
+        return FitDiagnostics(mu, alpha0, res, defined, n)
 
 
 # --- sliding-window streaming fit --------------------------------------------
@@ -213,8 +210,7 @@ class WindowState:
     carries no rounding left over from earlier samples.
 
     Single-writer: :meth:`push`, :meth:`fit` and :meth:`contents` all
-    update the ring, so call them from one thread; hand a :meth:`copy`
-    to another thread to read there.
+    update the ring, so call them from one thread.
 
     Attributes:
         capacity: Window length in samples.
@@ -281,13 +277,3 @@ class WindowState:
         alpha = np.roll(self._alpha[: self._filled], -self._head)
         tau = np.roll(self._tau[: self._filled], -self._head)
         return list(zip(alpha.tolist(), tau.tolist()))
-
-    def copy(self) -> "WindowState":
-        """Independent snapshot safe to hand to another thread."""
-        dup = WindowState(self.capacity, self.dt, self.model)
-        dup._alpha[:] = self._alpha
-        dup._tau[:] = self._tau
-        dup._head, dup._filled = self._head, self._filled
-        dup._new_alpha.extend(self._new_alpha)
-        dup._new_tau.extend(self._new_tau)
-        return dup

@@ -30,6 +30,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,7 +133,6 @@ class ExperimentResult:
     trace_no_spring: Path
     trace_with_spring: Path
     fit: FitDiagnostics
-    clamped: bool = False
 
     def __post_init__(self) -> None:
         if not self.e0 > 0:
@@ -149,6 +149,10 @@ class ExperimentResult:
     @property
     def ratio(self) -> float:
         return self.ea / self.e0
+
+    @property
+    def clamped(self) -> bool:
+        return self.fit.spring is None
 
 
 def paper_table() -> list[ExperimentSpec]:
@@ -183,9 +187,7 @@ def run_experiment(
     except DegenerateTrajectory as exc:
         raise DegenerateTrajectory(f"{spec.label}: {exc}") from exc
 
-    clamped = not (diag.physical and diag.alpha0_defined)
-    spring = None if clamped else SpringParams(diag.mu_star, diag.alpha0_star)
-    traj_b = run(spec.to_sim_config(spring=spring))
+    traj_b = run(spec.to_sim_config(spring=diag.spring))
 
     e0 = energy(traj_a, model)
     ea = energy(traj_b, model)
@@ -199,7 +201,6 @@ def run_experiment(
         trace_no_spring=path_a,
         trace_with_spring=path_b,
         fit=diag,
-        clamped=clamped,
     )
 
 
@@ -350,44 +351,52 @@ def load_report(path) -> list[dict]:
 def _write_period_overlay(
     traj_a: Trajectory, traj_b: Trajectory, spec: ExperimentSpec, out_dir
 ) -> tuple[Path, Path]:
-    """Cut one reference period of both torque logs into a CSV + SVG overlay.
+    """Cut one motion period of both torque logs into a CSV + SVG overlay.
 
-    The window is the last complete period, so its start time is an
-    integer multiple of the period (phase-aligned with the reference).
+    The window is the last full motion period, ``2 pi / omega``, in the log
+    (phase-aligned): it starts at the sample nearest a whole multiple of it.
 
     Returns:
         (csv_path, svg_path).
 
     Raises:
-        ConfigError: The logs are too short for a period, or differ in length.
+        ConfigError: The logs are too short for a period or differ in
+            length, or the plotted torque range is not finite.
     """
     label = spec.label
     out_dir = Path(out_dir)
     make_dir(out_dir)
     n = len(traj_a)
-    n_period = round(spec.t_period * spec.to_sim_config().controller.control_rate)
+    cfg = spec.to_sim_config()
+    period = 2.0 * math.pi / cfg.omega * cfg.controller.control_rate  # in samples
+    n_period = round(period)
     if n_period < 2 or n_period > n or len(traj_b) != n:
         raise ConfigError(
             f"{label}: cannot cut a {n_period}-sample period from {n}/{len(traj_b)} samples"
         )
-    k0 = (n // n_period - 1) * n_period
+    # m * period < n - n_period + 0.5 keeps round(m * period) + n_period <= n.
+    k0 = round(math.floor((n - n_period + 0.5) / period) * period)
     sl = slice(k0, k0 + n_period)
     t_rel = (traj_a.t[sl] - traj_a.t[k0]).tolist()
     tau_a = traj_a.tau[sl].tolist()
     tau_b = traj_b.tau[sl].tolist()
 
+    # The plot goes first: it is the one that can reject the data.
+    svg_path = out_dir / f"{label}_torques.svg"
+    try:
+        line_plot(
+            svg_path,
+            [("no spring", t_rel, tau_a), ("with spring", t_rel, tau_b)],
+            title=f"Knee motor torque over one period: {label}",
+            xlabel="time within period [s]",
+            ylabel="motor torque [N m]",
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{label}: cannot plot the torques: {exc}") from exc
+
     csv_path = out_dir / f"{label}_torques.csv"
     header = "t,tau_no_spring_Nm,tau_with_spring_Nm"
     atomic_write(csv_path, float_rows(header, t_rel, tau_a, tau_b))
-
-    svg_path = out_dir / f"{label}_torques.svg"
-    line_plot(
-        svg_path,
-        [("no spring", t_rel, tau_a), ("with spring", t_rel, tau_b)],
-        title=f"Knee motor torque over one period: {label}",
-        xlabel="time within period [s]",
-        ylabel="motor torque [N m]",
-    )
     return csv_path, svg_path
 
 
@@ -422,11 +431,14 @@ def export_traces_from_dir(result_dir, out_dir) -> list[tuple[Path, Path]]:
 def fit_external(log_path, model: EnergyModel = EnergyModel()) -> dict:
     """Fit a spring to an arbitrary trajectory CSV; summary as a dict.
 
-    Propagates load/fit errors (they carry file/line context).
+    Propagates load/fit errors (they carry file/line context); a log
+    whose motor energy is not finite is a DegenerateTrajectory.
     """
     traj = load_trajectory(log_path)
     diag = fit_optimal(traj, model)
     e0 = energy(traj, model)
+    if not math.isfinite(e0):
+        raise DegenerateTrajectory(f"{log_path}: motor energy {e0!r} is not finite")
     return {
         "path": str(log_path),
         "n_samples": len(traj),

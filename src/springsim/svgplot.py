@@ -49,6 +49,7 @@ def line_plot(
     """Write an SVG overlay plot of one or more (label, x, y) series, atomically.
 
     Raises:
+        ValueError: Nothing to plot, or an empty or non-finite (padded) range.
         IoFailure: On any OS-level write problem.
     """
     xs = [v for _, x, _ in series for v in x]
@@ -64,6 +65,9 @@ def line_plot(
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
+    for axis, lo, hi in (("x", x_lo, x_hi), ("y", y_lo, y_hi)):
+        if not 0.0 < hi - lo < math.inf:
+            raise ValueError(f"{axis} range [{lo!r}, {hi!r}] is empty or not finite")
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 

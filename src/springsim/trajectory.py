@@ -158,9 +158,6 @@ class Trajectory:
         for i in range(len(self)):
             yield Sample(float(self.t[i]), float(self.alpha[i]), float(self.tau[i]))
 
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(float(self.t[i]), float(self.alpha[i]), float(self.tau[i]))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trajectory):
             return NotImplemented
@@ -173,20 +170,6 @@ class Trajectory:
 
     def __repr__(self) -> str:
         return f"Trajectory(n={len(self)}, dt={self.dt!r}, duration={self.t[-1] - self.t[0]:.3f}s)"
-
-    @property
-    def samples(self) -> list[Sample]:
-        """The samples as a list (copies; the arrays stay read-only)."""
-        return list(self)
-
-    @classmethod
-    def from_samples(cls, samples: list[Sample], dt: float | None = None) -> "Trajectory":
-        if not samples:
-            raise ValueError("trajectory needs at least one sample")
-        t = np.array([s.t for s in samples])
-        alpha = np.array([s.alpha for s in samples])
-        tau = np.array([s.tau for s in samples])
-        return cls(t, alpha, tau, dt=dt)
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

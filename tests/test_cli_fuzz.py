@@ -3,8 +3,9 @@
 Mutated specs and run-config INI text, ``report.csv`` contents,
 trajectory logs and flag lists go through ``cli.main``. Every outcome
 must be an exit code in {0, 1, 2}, argparse's ``SystemExit`` included;
-any other exception fails the test. The base inputs simulate 0.05 s,
-so one example costs milliseconds.
+any other exception, or any warning (a second line on stderr), fails
+the test. The base inputs simulate 0.05 s, so one example costs
+milliseconds.
 """
 
 import contextlib
@@ -152,7 +153,8 @@ def base_result(tmp_path_factory):
 # more once 1e300 was in the vocabulary: duration*control_rate overflowing
 # to inf (round() raised OverflowError; now SimConfig's work budget
 # rejects it) and a logged angle of 1e300, whose square overflowed in the
-# fit.
+# fit. A logged torque of 1e200 printed numpy overflow warnings before
+# the fit's output.
 @example(template=TEMPLATES[0], flag_edits=[], ini_edits=[("field", 1, 1, b"%(x)s")],
          report_edits=[], log_edits=[])
 @example(template=TEMPLATES[1], flag_edits=[], ini_edits=[("field", 4, 1, b"%")],
@@ -167,6 +169,9 @@ def base_result(tmp_path_factory):
          report_edits=[], log_edits=[])
 @example(template=TEMPLATES[2], flag_edits=[], ini_edits=[], report_edits=[],
          log_edits=[("field", 2, 1, b"1e300")])
+@example(template=TEMPLATES[2], flag_edits=[], ini_edits=[], report_edits=[],
+         log_edits=[("field", 2, 2, b"1e200")])
+@pytest.mark.filterwarnings("error")  # a warning is stderr noise: fail on it
 @settings(max_examples=150, deadline=None, database=None)
 @given(
     template=st.sampled_from(TEMPLATES),

@@ -14,11 +14,10 @@ from springsim import (
     Trajectory,
     WindowState,
     energy,
-    energy_with_spring,
     fit_optimal,
     stationarity_residual,
 )
-from springsim.fitting import _energy_raw
+from springsim.fitting import _energy_raw, _gradient_raw
 from springsim.trajectory import Sample
 
 from conftest import make_trajectory
@@ -98,24 +97,24 @@ class TestEnergyWithSpring:
     def test_zero_stiffness_degenerates_exactly(self):
         rng = np.random.default_rng(2)
         traj = make_trajectory(rng, n=300)
-        spring = SpringParams(mu=0.0, alpha0=1.23)
-        assert energy_with_spring(traj, spring, MODEL) == energy(traj, MODEL)
+        assert _energy_raw(traj.alpha, traj.tau, traj.dt, 1.0, 0.0, 1.23) == energy(traj, MODEL)
 
     def test_perfect_compensation(self):
         alpha = np.array([0.0, 0.2, 0.5, 0.9])
         tau = 2.0 * (alpha - 0.3)
         traj = _traj(alpha, tau)
-        assert energy_with_spring(traj, SpringParams(2.0, 0.3), MODEL) == 0.0
+        assert _energy_raw(alpha, tau, traj.dt, 1.0, 2.0, 0.3) == 0.0
 
     def test_matches_per_sample_oracle(self):
         rng = np.random.default_rng(3)
         traj = make_trajectory(rng, n=1000)
-        spring = SpringParams(mu=rng.uniform(0.1, 5.0), alpha0=rng.uniform(-2, 2))
+        mu, alpha0 = rng.uniform(0.1, 5.0), rng.uniform(-2, 2)
         acc = 0.0
         for s in traj:
-            r = s.tau - spring.mu * (s.alpha - spring.alpha0)
+            r = s.tau - mu * (s.alpha - alpha0)
             acc += r * r * traj.dt
-        assert energy_with_spring(traj, spring, MODEL) == pytest.approx(acc, rel=1e-12)
+        got = _energy_raw(traj.alpha, traj.tau, traj.dt, 1.0, mu, alpha0)
+        assert got == pytest.approx(acc, rel=1e-12)
 
 
 class TestFitOptimal:
@@ -127,7 +126,7 @@ class TestFitOptimal:
         assert diag.alpha0_star == pytest.approx(0.5, rel=1e-12)
         assert diag.residual_energy == pytest.approx(0.0, abs=1e-24)
         assert diag.physical and diag.alpha0_defined
-        assert diag.spring() == SpringParams(diag.mu_star, diag.alpha0_star)
+        assert diag.spring == SpringParams(diag.mu_star, diag.alpha0_star)
 
     def test_constant_angle_degenerate(self):
         traj = _traj([0.7, 0.7, 0.7, 0.7], [1.0, -2.0, 3.0, 0.5])
@@ -169,8 +168,7 @@ class TestFitOptimal:
         assert diag.mu_star == pytest.approx(-2.0, rel=1e-12)
         assert not diag.physical
         assert diag.alpha0_defined
-        with pytest.raises(ValueError):
-            diag.spring()
+        assert diag.spring is None
 
     def test_zero_covariance_flags_alpha0_undefined(self):
         traj = _traj([0.0, 1.0, 2.0], [5.0, 5.0, 5.0])
@@ -178,12 +176,9 @@ class TestFitOptimal:
         assert diag.mu_star == 0.0
         assert not diag.alpha0_defined
         assert math.isnan(diag.alpha0_star)
-        assert math.isnan(diag.grad_mu)
-        assert diag.grad_alpha0 == 0.0
         assert diag.physical
         assert diag.residual_energy == energy(traj, MODEL)
-        with pytest.raises(ValueError):
-            diag.spring()
+        assert diag.spring is None
 
     def test_gradients_vanish_at_optimum(self):
         rng = np.random.default_rng(5)
@@ -191,16 +186,19 @@ class TestFitOptimal:
             traj = make_trajectory(rng)
             diag = fit_optimal(traj, MODEL)
             bound = 1e-6 * max(1.0, energy(traj, MODEL))
-            assert abs(diag.grad_mu) <= bound
-            assert abs(diag.grad_alpha0) <= bound
+            g_mu, g_a0 = _gradient_raw(
+                traj.alpha, traj.tau, traj.dt, 1.0, diag.mu_star, diag.alpha0_star
+            )
+            assert abs(g_mu) <= bound
+            assert abs(g_a0) <= bound
 
     def test_residual_energy_is_energy_with_spring_at_optimum(self):
         rng = np.random.default_rng(6)
         traj = make_trajectory(rng, slope=4.0)
         diag = fit_optimal(traj, MODEL)
-        assert diag.residual_energy == pytest.approx(
-            energy_with_spring(traj, diag.spring(), MODEL), rel=1e-12
-        )
+        spring = diag.spring
+        e = _energy_raw(traj.alpha, traj.tau, traj.dt, 1.0, spring.mu, spring.alpha0)
+        assert diag.residual_energy == pytest.approx(e, rel=1e-12)
 
 
 class TestStationarityResidual:
@@ -391,7 +389,7 @@ class TestWindow:
     )
     _ops = st.one_of(
         st.lists(_pairs, min_size=1, max_size=120),  # a burst of pushes
-        st.sampled_from(["fit", "contents", "copy"]),
+        st.sampled_from(["fit", "contents"]),
     )
 
     @settings(max_examples=200, deadline=None, database=None)
@@ -408,11 +406,6 @@ class TestWindow:
             elif op == "contents":
                 assert w.n == len(expected)
                 assert w.contents() == expected
-            elif op == "copy":
-                original, w = w, w.copy()
-                w.push(Sample(0.0, 9.0, 9.0))
-                pushed.append((9.0, 9.0))
-                assert original.contents() == expected
             else:
                 _assert_fit_matches_batch(w, expected)
 
@@ -442,12 +435,3 @@ class TestWindow:
             diag = w.fit()
             worst = max(worst, abs(diag.mu_star / mu - 1.0), abs(diag.alpha0_star / alpha0 - 1.0))
         assert worst <= 1e-7
-
-    def test_copy_is_independent(self):
-        w = WindowState(capacity=4, dt=0.01)
-        for i in range(4):
-            w.push(Sample(i * 0.01, 0.1 * i, float(i)))
-        snap = w.copy()
-        w.push(Sample(0.04, 9.9, 9.9))
-        assert snap.contents() != w.contents()
-        assert snap.fit().n == 4

@@ -41,6 +41,28 @@ from springsim.svgplot import line_plot
 MODEL = EnergyModel()
 
 
+def _write_log(path, case):
+    """Write one of the fit-command test logs to ``path``."""
+    n = 200
+    t = np.arange(n) * 0.01
+    alpha = 0.5 + 0.3 * np.sin(t)
+    if case == "linear":
+        tau = 4.0 * (alpha - 1.2)
+    elif case == "negative_slope":
+        tau = -4.0 * (alpha - 1.2)
+    elif case == "zero_covariance":
+        alpha = np.tile([0.0, 1.0, 2.0, 1.0], n // 4)
+        tau = np.full(n, 5.0)
+    elif case == "torque_1e200":  # the squared torques pass the float range
+        tau = 1e200 * np.random.default_rng(0).standard_normal(n)
+    elif case == "energy_only":
+        # tau = 2**660 * alpha: every sum is exact, so the fit is exact with
+        # residual 0, and only the motor energy sum(tau^2) overflows.
+        alpha = np.arange(n, dtype=float)
+        tau = 2.0**660 * alpha
+    save_trajectory(Trajectory(t, alpha, tau, dt=0.01), path)
+
+
 class TestExperimentSpec:
     def test_paper_table_has_six_rows(self):
         specs = paper_table()
@@ -360,6 +382,37 @@ class TestTorqueTraces:
         with pytest.raises(MissingTrace):
             export_traces_from_dir(tmp_path / "exp", tmp_path / "out")
 
+    def test_plot_of_constant_huge_torque_rejected(self, tmp_path):
+        # +-1 cannot widen a range at 1e300, so it stays empty after padding.
+        path = tmp_path / "plot.svg"
+        with pytest.raises(ValueError, match="y range .* is empty or not finite"):
+            line_plot(path, [("a", [0.0, 0.01], [1e300, 1e300])])
+        assert not path.exists()
+
+    def test_paper_literal_window_is_one_motion_period(self, tmp_path):
+        # Under "paper-literal" the motion period is 2*pi*0.3 s = 188.5
+        # samples at 100 Hz; the last full one starts nearest 4 * 188.5.
+        spec = ExperimentSpec(
+            "lit", mass=4.1, t_period=0.3, amplitude=0.05, h0=0.2,
+            overrides={"sine_convention": "paper-literal"},
+        )
+        report = run_grid([spec], tmp_path / "g", MODEL)
+        csv_path, _ = export_traces_from_dir(tmp_path / "g", tmp_path / "t")[0]
+        rows = [l.split(",") for l in csv_path.read_text().splitlines()[1:]]
+        assert len(rows) == 188
+        tau_a = load_trajectory(report.results[0].trace_no_spring).tau
+        assert [float(r[1]) for r in rows] == tau_a[754:942].tolist()
+
+    def test_paper_literal_period_longer_than_log_rejected(self, tmp_path):
+        # 2*pi*0.94 s = 5.9 s of motion period against a 5 s log.
+        spec = ExperimentSpec(
+            "lit", mass=4.1, t_period=0.94, amplitude=0.05, h0=0.2,
+            overrides={"sine_convention": "paper-literal", "duration": 5.0},
+        )
+        run_grid([spec], tmp_path / "g", MODEL)
+        with pytest.raises(ConfigError, match="cannot cut a 591-sample period from 500/500"):
+            export_traces_from_dir(tmp_path / "g", tmp_path / "t")
+
 
 class TestFitExternal:
     def test_linear_law_log_recovered_exactly(self, tmp_path):
@@ -530,6 +583,7 @@ class TestCli:
         assert cli_main(["fit", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning is a second stderr line
     def test_fit_angle_squares_past_float_range_exit_one(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"
         path.write_text("t,alpha_rad,tau_Nm\n0.0,0.1,1.0\n0.01,1e300,1.5\n0.02,0.3,2.0\n")
@@ -538,6 +592,29 @@ class TestCli:
 
     def test_fit_missing_file_exit_one(self, tmp_path):
         assert cli_main(["fit", str(tmp_path / "nope.csv")]) == 1
+
+    # A numpy warning would be a second stderr line; make it fail the test.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "case, rc",
+        [("linear", 0), ("negative_slope", 0), ("zero_covariance", 0),
+         ("torque_1e200", 1), ("energy_only", 1)],
+    )
+    def test_fit_json_is_strict_or_one_line_error(self, tmp_path, capsys, case, rc):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        path = tmp_path / "log.csv"
+        _write_log(path, case)
+        assert cli_main(["fit", str(path), "--json"]) == rc
+        out, err = capsys.readouterr()
+        if rc == 0:
+            assert json.loads(out, parse_constant=reject)["n_samples"] == 200
+            assert err == ""
+        else:
+            assert out == ""
+            assert err.count("\n") == 1 and "springsim fit: error: " in err, err
+            assert "not finite" in err
 
     def test_traces_from_grid_dir(self, grid_dir, tmp_path, capsys):
         out, _ = grid_dir
@@ -594,6 +671,23 @@ class TestCli:
         assert cli_main(["traces", str(res), "--out", str(tmp_path / "t")]) == 1
         err = self._assert_one_line_error(capsys, "traces")
         assert "report.csv:3: 1 cells, the header has 10" in err
+
+    # Torques in the plotted (last) baseline period, data rows 752-939:
+    # a range that overflows, and a finite one whose 5% padding does.
+    @pytest.mark.parametrize("taus", [{800: "1e308", 810: "-1e308"}, {800: "1.75e308"}])
+    def test_traces_non_finite_torque_range_exit_one(self, grid_dir, tmp_path, capsys, taus):
+        out, _ = grid_dir
+        res = tmp_path / "res"
+        shutil.copytree(out, res)
+        trace = res / "traces" / "baseline_with_spring.csv"
+        lines = trace.read_text().splitlines()
+        for row, tau in taus.items():
+            lines[1 + row] = lines[1 + row].rsplit(",", 1)[0] + "," + tau
+        trace.write_text("\n".join(lines) + "\n")
+        assert cli_main(["traces", str(res), "--out", str(tmp_path / "t")]) == 1
+        err = self._assert_one_line_error(capsys, "traces")
+        assert "baseline: cannot plot the torques: y range" in err
+        assert list((tmp_path / "t").glob("*")) == []
 
     def test_traces_missing_trace_writes_no_overlay(self, grid_dir, tmp_path, capsys):
         out, _ = grid_dir

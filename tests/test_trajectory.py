@@ -102,15 +102,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             traj.alpha[0] = 9.9
 
-    def test_samples_view_and_indexing(self):
+    def test_iter_yields_samples(self):
         traj = Trajectory([0.0, 0.01], [0.1, 0.2], [1.0, 1.1])
-        assert traj[1] == Sample(0.01, 0.2, 1.1)
-        assert traj.samples == [Sample(0.0, 0.1, 1.0), Sample(0.01, 0.2, 1.1)]
-
-    def test_from_samples_round_trip(self):
-        samples = [Sample(0.0, 0.5, -1.0), Sample(0.1, 0.6, -1.2)]
-        traj = Trajectory.from_samples(samples)
-        assert traj.samples == samples and traj.dt == pytest.approx(0.1)
+        assert list(traj) == [Sample(0.0, 0.1, 1.0), Sample(0.01, 0.2, 1.1)]
 
 
 class TestLoad:
