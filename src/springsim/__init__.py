@@ -13,7 +13,6 @@ from .errors import (
     DegenerateTrajectory,
     EmptyFile,
     EmptySpecList,
-    HarnessError,
     IoFailure,
     MalformedRow,
     MissingFile,
@@ -24,7 +23,6 @@ from .errors import (
     SimulationError,
     SingularConfiguration,
     SpringSimError,
-    TrajectoryError,
     Unreachable,
 )
 from .fitting import (
@@ -79,7 +77,6 @@ __all__ = [
     "ExperimentSpec",
     "FitDiagnostics",
     "GridReport",
-    "HarnessError",
     "IoFailure",
     "LegGeometry",
     "MalformedRow",
@@ -96,7 +93,6 @@ __all__ = [
     "SpringParams",
     "SpringSimError",
     "Trajectory",
-    "TrajectoryError",
     "Unreachable",
     "WindowState",
     "energy",

@@ -1,12 +1,12 @@
-"""Output-file helpers shared by every writer in the package.
+"""File reads and atomic writes shared by every reader and writer.
 
-Every file springsim produces goes through :func:`atomic_write`, so a
-reader never sees a half-written file and a failed write leaves the old
-file in place; directories are created and stale files removed through
-:func:`make_dir` and :func:`remove_file`. All three raise
-:class:`~springsim.errors.IoFailure` on any OS-level problem. Float
-columns are formatted by :func:`float_rows` with ``repr``, the shortest
-string that parses back to the same float.
+Every input file is read by :func:`read_file`. Every file springsim
+produces goes through :func:`atomic_write`, so a reader never sees a
+half-written file and a failed write leaves the old file in place;
+directories are created and stale files removed through :func:`make_dir`
+and :func:`remove_file`. All four raise :class:`~springsim.errors.IoFailure`
+on any OS-level problem. Float columns are formatted by :func:`float_rows`
+with ``repr``, the shortest string that parses back to the same float.
 """
 
 from __future__ import annotations
@@ -25,6 +25,18 @@ def float_rows(header: str, a: list, b: list, c: list) -> str:
     scalar is not a plain number.
     """
     return header + "\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in zip(a, b, c))
+
+
+def read_file(path, missing: Exception) -> bytes:
+    """The bytes of input file ``path``; raises ``missing`` if it is not a
+    regular file and IoFailure on any other OS-level problem."""
+    try:
+        if not Path(path).is_file():
+            raise missing
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoFailure(path, exc) from exc
 
 
 def atomic_write(path, text: str) -> None:

@@ -55,31 +55,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a single configuration")
     p_run.add_argument("--config", required=True, help="run config file (INI, [run] section)")
     p_run.add_argument("--out", default="trajectory.csv", help="output trajectory CSV")
-    p_run.add_argument(
-        "--k-motor", type=_positive_float, default=1.0, help="motor energy constant K"
-    )
+    p_run.set_defaults(func=_cmd_run)
 
     p_grid = sub.add_parser("grid", help="run an experiment grid, write report.csv")
     src = p_grid.add_mutually_exclusive_group(required=True)
     src.add_argument("--table", choices=["paper"], help="built-in benchmark grid")
     src.add_argument("--specs", help="experiment list file (INI, one section per row)")
     p_grid.add_argument("--out", required=True, help="output directory")
-    p_grid.add_argument(
-        "--k-motor", type=_positive_float, default=1.0, help="motor energy constant K"
-    )
+    p_grid.set_defaults(func=_cmd_grid)
 
     p_fit = sub.add_parser("fit", help="fit the optimal spring to a trajectory CSV")
     p_fit.add_argument("trajectory", help="trajectory CSV (t,alpha_rad,tau_Nm)")
     p_fit.add_argument("--json", action="store_true", help="machine-readable output")
-    p_fit.add_argument(
-        "--k-motor", type=_positive_float, default=1.0, help="motor energy constant K"
-    )
+    p_fit.set_defaults(func=_cmd_fit)
+    for p in (p_run, p_grid, p_fit):
+        p.add_argument(
+            "--k-motor", type=_positive_float, default=1.0, help="motor energy constant K"
+        )
 
     p_traces = sub.add_parser(
         "traces", help="export single-period torque overlays from a grid result dir"
     )
     p_traces.add_argument("result_dir", help="directory produced by `springsim grid`")
     p_traces.add_argument("--out", required=True, help="output directory")
+    p_traces.set_defaults(func=_cmd_traces)
     return parser
 
 
@@ -122,11 +121,10 @@ def _cmd_fit(args) -> int:
         print(json.dumps(info, indent=2, sort_keys=True))
         return 0
     print(f"{info['path']}: {info['n_samples']} samples, dt={info['dt']:g} s")
+    print(f"mu*     = {info['mu_star']:.6g} N m/rad")
     if info["alpha0_defined"]:
-        print(f"mu*     = {info['mu_star']:.6g} N m/rad")
         print(f"alpha0* = {info['alpha0_star']:.6g} rad")
     else:
-        print(f"mu*     = {info['mu_star']:.6g} N m/rad")
         print("alpha0* = undefined (zero angle-torque covariance)")
     print(f"E0      = {info['e0']:.6g} J")
     print(f"Ea      = {info['ea']:.6g} J")
@@ -144,14 +142,8 @@ def _cmd_traces(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "grid": _cmd_grid,
-        "fit": _cmd_fit,
-        "traces": _cmd_traces,
-    }
     try:
-        return handlers[args.command](args)
+        return args.func(args)
     except EmptySpecList as exc:
         print(f"springsim {args.command}: usage error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,8 @@
 Constructor/type-invariant violations raise plain ``ValueError``;
 everything that can go wrong during an *operation* (I/O, fitting,
 integration, experiment orchestration) derives from ``SpringSimError``
-so the CLI can map it to exit code 1.
+so the CLI can map it to exit code 1. The tree is flat: the only bases
+in between are those a caller catches (SimulationError, ConfigError).
 """
 
 
@@ -11,33 +12,35 @@ class SpringSimError(Exception):
     """Base class for all domain errors."""
 
 
-# --- trajectory I/O ---------------------------------------------------------
+# --- files and trajectory logs ---------------------------------------------
 
 
-class TrajectoryError(SpringSimError):
-    """Base class for trajectory construction / file errors."""
+class IoFailure(SpringSimError):
+    def __init__(self, path, cause):
+        super().__init__(f"I/O error on {path}: {cause}")
+        self.path = path
 
 
-class MissingFile(TrajectoryError):
+class MissingFile(SpringSimError):
     def __init__(self, path):
         super().__init__(f"trajectory file not found: {path}")
         self.path = path
 
 
-class EmptyFile(TrajectoryError):
+class EmptyFile(SpringSimError):
     def __init__(self, path, detail="no data rows"):
         super().__init__(f"{path}: {detail}")
         self.path = path
 
 
-class MalformedRow(TrajectoryError):
+class MalformedRow(SpringSimError):
     def __init__(self, path, line_no, detail):
         super().__init__(f"{path}:{line_no}: {detail}")
         self.path = path
         self.line_no = line_no
 
 
-class NonUniformTimestep(TrajectoryError):
+class NonUniformTimestep(SpringSimError):
     """Timestamp i+1 deviates from the uniform grid by more than 1e-9 s."""
 
     def __init__(self, index, detail=""):
@@ -46,12 +49,6 @@ class NonUniformTimestep(TrajectoryError):
             msg += f": {detail}"
         super().__init__(msg)
         self.index = index
-
-
-class IoFailure(TrajectoryError):
-    def __init__(self, path, cause):
-        super().__init__(f"could not write {path}: {cause}")
-        self.path = path
 
 
 # --- fitting ----------------------------------------------------------------
@@ -107,17 +104,13 @@ class NonFiniteState(SimulationError):
 # --- experiment harness -----------------------------------------------------
 
 
-class HarnessError(SpringSimError):
-    """Base class for experiment orchestration errors."""
-
-
-class MissingTrace(HarnessError):
+class MissingTrace(SpringSimError):
     def __init__(self, path):
         super().__init__(f"trace file not found: {path}")
         self.path = path
 
 
-class ConfigError(HarnessError):
+class ConfigError(SpringSimError):
     """Malformed experiment/run configuration file."""
 
 

@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._fileio import atomic_write, float_rows, make_dir, remove_file
+from ._fileio import atomic_write, float_rows, make_dir, read_file, remove_file
 from .errors import (
     ConfigError,
     DegenerateTrajectory,
@@ -314,15 +314,19 @@ def _remove_stale_traces(traces_dir: Path, results: list[ExperimentResult]) -> N
         remove_file(p)
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of input file ``path``, else ConfigError (or IoFailure)."""
+    data = read_file(path, ConfigError(f"{what} not found: {path}"))
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def load_report(path) -> list[dict]:
     """Parse report.csv back into one dict per row (floats restored)."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"grid report not found: {path}")
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = _read_text(path, "grid report").splitlines()
     if not lines or lines[0] != REPORT_HEADER:
         raise ConfigError(f"{path}: not a grid report (bad header)")
     cols = REPORT_HEADER.split(",")
@@ -431,11 +435,14 @@ def export_traces_from_dir(result_dir, out_dir) -> list[tuple[Path, Path]]:
 def fit_external(log_path, model: EnergyModel = EnergyModel()) -> dict:
     """Fit a spring to an arbitrary trajectory CSV; summary as a dict.
 
-    Propagates load/fit errors (they carry file/line context); a log
-    whose motor energy is not finite is a DegenerateTrajectory.
+    Fit and load errors name the log, but a non-uniform timestep only its
+    sample index; a log whose motor energy is not finite is a DegenerateTrajectory.
     """
     traj = load_trajectory(log_path)
-    diag = fit_optimal(traj, model)
+    try:
+        diag = fit_optimal(traj, model)
+    except DegenerateTrajectory as exc:
+        raise DegenerateTrajectory(f"{log_path}: {exc}") from exc
     e0 = energy(traj, model)
     if not math.isfinite(e0):
         raise DegenerateTrajectory(f"{log_path}: motor energy {e0!r} is not finite")
@@ -459,16 +466,13 @@ def fit_external(log_path, model: EnergyModel = EnergyModel()) -> dict:
 
 
 def _read_ini(path) -> configparser.ConfigParser:
+    """Parse INI file ``path`` (lines end as in text mode); check its schema."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read_file(io.StringIO(_read_text(path, "config file"), newline=None), path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if "springsim" not in parser:
         raise ConfigError(f"{path}: missing [springsim] section")
     schema = parser["springsim"].get("schema")
@@ -546,7 +550,4 @@ def load_run_config(path) -> SimConfig:
             raise ConfigError(f"{path}: {exc}") from exc
         keys -= {"spring_mu", "spring_alpha0"}
     spec = _spec_from_section("run", {k: sec[k] for k in keys})
-    try:
-        return spec.to_sim_config(spring=spring)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return spec.to_sim_config(spring=spring)

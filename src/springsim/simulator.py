@@ -357,22 +357,16 @@ def run(cfg: SimConfig) -> Trajectory:
         theta_ref = 2.0 * asin(h_ref / two_l)
         dh_ref = amp * omega * cos(omega * t_k)
         dtheta_ref = dh_ref / (link_len * cos(0.5 * theta_ref))
-        u = kp * (theta_ref - theta) + kd * (dtheta_ref - dtheta)
-        if has_limit:
-            if u > torque_limit:
-                u = torque_limit
-            elif u < -torque_limit:
-                u = -torque_limit
         theta_log[k] = theta
-        tau_log[k] = -u
         for j in range(n_sub):
-            if j > 0:
-                u = kp * (theta_ref - theta) + kd * (dtheta_ref - dtheta)
-                if has_limit:
-                    if u > torque_limit:
-                        u = torque_limit
-                    elif u < -torque_limit:
-                        u = -torque_limit
+            u = kp * (theta_ref - theta) + kd * (dtheta_ref - dtheta)
+            if has_limit:
+                if u > torque_limit:
+                    u = torque_limit
+                elif u < -torque_limit:
+                    u = -torque_limit
+            if j == 0:
+                tau_log[k] = -u
             dh = link_len * cos(0.5 * theta)
             if dh < JACOBIAN_TOL and dh > -JACOBIAN_TOL:
                 raise SingularConfiguration(theta, t_k + j * dt)

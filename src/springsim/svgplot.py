@@ -31,6 +31,8 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     v = first
     while v <= hi + 1e-12 * span:
         out.append(0.0 if abs(v) < 1e-12 * span else v)
+        if v + stepv == v:  # a step under half an ulp of v: no tick follows
+            break
         v += stepv
     return out or [lo]
 

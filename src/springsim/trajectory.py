@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._fileio import atomic_write, float_rows
+from ._fileio import atomic_write, float_rows, read_file
 from .errors import (
     EmptyFile,
     MalformedRow,
@@ -227,7 +227,8 @@ def load_trajectory(path) -> Trajectory:
     error is raised.
 
     Raises:
-        MissingFile: ``path`` does not exist.
+        MissingFile: ``path`` is not a regular file.
+        IoFailure: ``path`` could not be read.
         EmptyFile: No data rows, or a single row (dt not inferable).
         MalformedRow: Wrong column count or unparsable number
             (exception carries the 1-based line number).
@@ -235,21 +236,19 @@ def load_trajectory(path) -> Trajectory:
             index of the first offending step).
     """
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(path)
-    with open(path, "rb") as fh:
-        values = _parse_bulk(fh.read())
+    data = read_file(path, MissingFile(path))
+    values = _parse_bulk(data)
     if values is None:
-        return _load_strict(path)
+        return _load_strict(path, data)
+    del data  # not held while the arrays are built: it sets a large log's peak RSS
     return Trajectory(values[0::3], values[1::3], values[2::3])
 
 
-def _load_strict(path) -> Trajectory:
-    """Per-line parser: the specification of :func:`load_trajectory`."""
+def _load_strict(path, data: bytes) -> Trajectory:
+    """Per-line parser of ``path``'s bytes: the specification of :func:`load_trajectory`."""
     # A byte that is not UTF-8 decodes to a lone surrogate, which no
     # number or header matches: its line is reported as malformed.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = data.decode("utf-8", "surrogateescape").splitlines()
     if not lines:
         raise EmptyFile(path)
     header = lines[0].strip()

@@ -1,4 +1,9 @@
-"""Shared fixtures and trajectory generators."""
+"""Shared fixtures, trajectory generators and an ``open`` spy."""
+
+import builtins
+import errno
+import io
+import os
 
 import numpy as np
 import pytest
@@ -24,6 +29,29 @@ def make_trajectory(rng, n=None, dt=0.01, slope=None, alpha0=None, noise=0.05):
     tau = slope * (alpha - alpha0) + noise * rng.standard_normal(n)
     t = np.arange(n) * dt
     return Trajectory(t, alpha, tau, dt=dt)
+
+
+def spy_on_open(monkeypatch, path, refuse=False):
+    """Record each ``open`` of ``path`` (through ``open`` or ``io.open``).
+
+    With ``refuse``, each such open raises ``PermissionError``, as for a
+    file without read permission (file modes do not stop root). Returns
+    the list that records the opens.
+    """
+    path = os.fspath(path)
+    real_open = io.open
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == path:
+            opened.append(args)
+            if refuse:
+                raise PermissionError(errno.EACCES, "Permission denied", path)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    monkeypatch.setattr(io, "open", spy)
+    return opened
 
 
 @pytest.fixture(scope="session")

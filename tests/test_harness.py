@@ -4,10 +4,14 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import springsim
 from springsim import (
     ConfigError,
     ControllerConfig,
@@ -37,6 +41,8 @@ from springsim import (
 from springsim import harness
 from springsim.cli import main as cli_main
 from springsim.svgplot import line_plot
+
+from conftest import spy_on_open
 
 MODEL = EnergyModel()
 
@@ -389,6 +395,27 @@ class TestTorqueTraces:
             line_plot(path, [("a", [0.0, 0.01], [1e300, 1e300])])
         assert not path.exists()
 
+    def test_plot_of_a_range_one_ulp_wide_finishes(self, tmp_path):
+        # [1e15, 1e15 + 0.125] is one ulp wide; its tick step, 0.05, is under
+        # half an ulp, so adding it cannot move a tick. A tick loop that does
+        # not end grows its list without bound: plot in a child process under
+        # a time and an address-space limit.
+        path = tmp_path / "plot.svg"
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from springsim.svgplot import line_plot\n"
+            f"line_plot({str(path)!r}, [('a', [0.0, 1.0], [1e15, 1e15 + 0.125])])\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(springsim.__file__).parents[1]),
+            OPENBLAS_NUM_THREADS="1",  # keep numpy's import far below the limit
+            OMP_NUM_THREADS="1",
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, timeout=30, check=True)
+        assert path.read_text().count(">1e+15</text>") == 1
+
     def test_paper_literal_window_is_one_motion_period(self, tmp_path):
         # Under "paper-literal" the motion period is 2*pi*0.3 s = 188.5
         # samples at 100 Hz; the last full one starts nearest 4 * 188.5.
@@ -519,6 +546,37 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             load_run_config(p)
 
+    # What configparser made of these texts when it opened the file itself:
+    # CRLF and a lone CR end a line, \x0b and \x1c do not, and a BOM is not
+    # stripped, so the first section header is not seen.
+    @pytest.mark.parametrize(
+        "text, sections",
+        [
+            ("[springsim]\r\nschema = 1\r\n\r\n[x]\r\nmass = 4.1\r\nt_period = 1.88\r\n",
+             {"x": {"mass": "4.1", "t_period": "1.88"}}),
+            ("[springsim]\rschema = 1\r\r[x]\rmass = 4.1\rt_period = 1.88\r",
+             {"x": {"mass": "4.1", "t_period": "1.88"}}),
+            ("\ufeff[springsim]\nschema = 1\n\n[x]\nmass = 4.1\n", None),
+            ("[springsim]\nschema = 1\n\n[x]\nmass = 4.1\x0bt_period = 1.88\n",
+             {"x": {"mass": "4.1\x0bt_period = 1.88"}}),
+            ("[springsim]\nschema = 1\n\n[x]\nmass = 4.1\x1c[y]\n",
+             {"x": {"mass": "4.1\x1c[y]"}}),
+            ("[springsim]\r\nschema = 1\r\r\n[x]\n\x0bmass = 4.1\r\n  t_period = 1.88\x1c\n",
+             {"x": {"mass": "4.1\nt_period = 1.88"}}),
+        ],
+    )
+    def test_ini_line_ends_read_as_in_a_text_file(self, tmp_path, text, sections):
+        p = tmp_path / "ends.ini"
+        p.write_bytes(text.encode())
+        if sections is None:
+            with pytest.raises(ConfigError, match="no section headers"):
+                harness._read_ini(p)
+            return
+        parser = harness._read_ini(p)
+        assert {n: dict(parser[n]) for n in parser.sections()} == {
+            "springsim": {"schema": "1"}, **sections
+        }
+
 
 class TestCli:
     def test_grid_paper_exit_zero(self, tmp_path, capsys):
@@ -581,7 +639,8 @@ class TestCli:
         path = tmp_path / "const.csv"
         save_trajectory(Trajectory(t, np.full(n, 0.7), np.sin(t), dt=0.01), path)
         assert cli_main(["fit", str(path)]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err and str(path) in err
 
     @pytest.mark.filterwarnings("error")  # a numpy warning is a second stderr line
     def test_fit_angle_squares_past_float_range_exit_one(self, tmp_path, capsys):
@@ -614,7 +673,7 @@ class TestCli:
         else:
             assert out == ""
             assert err.count("\n") == 1 and "springsim fit: error: " in err, err
-            assert "not finite" in err
+            assert "not finite" in err and str(path) in err
 
     def test_traces_from_grid_dir(self, grid_dir, tmp_path, capsys):
         out, _ = grid_dir
@@ -775,6 +834,34 @@ class TestCli:
         assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 1
         assert "latin1.ini" in self._assert_one_line_error(capsys, "run")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "grid", "run", "traces"])
+    def test_unreadable_input_file_exit_one(
+        self, grid_dir, tmp_path, capsys, monkeypatch, command
+    ):
+        if command == "fit":
+            path = tmp_path / "log.csv"
+            _write_log(path, "linear")
+            argv = ["fit", str(path)]
+        elif command == "grid":
+            path = tmp_path / "specs.ini"
+            save_specs_file(paper_table()[:1], path)
+            argv = ["grid", "--specs", str(path), "--out", str(tmp_path / "g")]
+        elif command == "run":
+            path = tmp_path / "run.ini"
+            path.write_text(
+                "[springsim]\nschema = 1\n\n[run]\nmass = 4.1\nt_period = 1.88\n"
+                "amplitude = 0.05\nh0 = 0.2\nduration = 2.0\n"
+            )
+            argv = ["run", "--config", str(path), "--out", str(tmp_path / "traj.csv")]
+        else:
+            path = grid_dir[0] / "report.csv"
+            argv = ["traces", str(grid_dir[0]), "--out", str(tmp_path / "t")]
+        spy_on_open(monkeypatch, path, refuse=True)
+        assert cli_main(argv) == 1
+        err = self._assert_one_line_error(capsys, command)
+        assert str(path) in err and "Permission denied" in err
+        assert list(tmp_path.glob("[gt]*")) == []
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
     def test_k_motor_must_be_positive_and_finite(self, tmp_path, capsys, value):

@@ -22,6 +22,8 @@ from springsim import (
 from springsim import trajectory
 from springsim.trajectory import CSV_HEADER
 
+from conftest import spy_on_open
+
 
 def _write(path, text):
     path.write_text(text)
@@ -299,7 +301,8 @@ def _outcome(load, path):
 
 
 def _assert_parity(path):
-    assert _outcome(load_trajectory, path) == _outcome(trajectory._load_strict, path)
+    strict = _outcome(lambda p: trajectory._load_strict(p, p.read_bytes()), path)
+    assert _outcome(load_trajectory, path) == strict
 
 
 class TestBulkParser:
@@ -332,11 +335,17 @@ class TestBulkParser:
         path = tmp_path / "bulk.csv"
         save_trajectory(traj, path)
 
-        def refuse(path):
+        def refuse(path, data):
             raise AssertionError("well-formed log went through the per-line parser")
 
         monkeypatch.setattr(trajectory, "_load_strict", refuse)
         assert load_trajectory(path) == traj
+
+    def test_lenient_log_is_read_once(self, tmp_path, monkeypatch):
+        path = _write(tmp_path / "crlf.csv", CSV_HEADER + "\r\n0.0,0.1,1.0\r\n0.01,0.2,1.1\r\n")
+        opened = spy_on_open(monkeypatch, path)
+        assert len(load_trajectory(path)) == 2
+        assert len(opened) == 1
 
     @pytest.mark.parametrize(
         "body",
