@@ -43,12 +43,14 @@ class MalformedRow(SpringSimError):
 class NonUniformTimestep(SpringSimError):
     """Timestamp i+1 deviates from the uniform grid by more than 1e-9 s."""
 
-    def __init__(self, index, detail=""):
+    def __init__(self, index, detail="", path=None):
         msg = f"non-uniform timestep at sample index {index}"
         if detail:
             msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(msg if path is None else f"{path}: {msg}")
         self.index = index
+        self.detail = detail
+        self.path = path
 
 
 # --- fitting ----------------------------------------------------------------

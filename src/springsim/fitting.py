@@ -56,6 +56,10 @@ from .trajectory import Sample, SpringParams, Trajectory
 VARIANCE_TOL = 1e-12
 #: Relative scale below which the mu* numerator (covariance) counts as zero.
 COVARIANCE_TOL = 1e-12
+#: Longest dot product handed to BLAS in one call. OpenBLAS splits a
+#: longer one across its threads, and the sum then rounds differently
+#: for each thread count; up to 10,000 elements it stays on one thread.
+_DOT_BLOCK = 8192
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,17 +116,28 @@ class FitDiagnostics:
 # --- energy accounting -------------------------------------------------------
 
 
+def _dot(x, y) -> float:
+    """``x @ y`` as blocks of :data:`_DOT_BLOCK` summed left to right: the
+    same bits for any BLAS thread count, and ``x @ y`` itself up to one block."""
+    if x.size <= _DOT_BLOCK:
+        return float(x @ y)
+    total = float(x[:_DOT_BLOCK] @ y[:_DOT_BLOCK])
+    for i in range(_DOT_BLOCK, x.size, _DOT_BLOCK):
+        total += float(x[i : i + _DOT_BLOCK] @ y[i : i + _DOT_BLOCK])
+    return total
+
+
 def energy(traj: Trajectory, model: EnergyModel = EnergyModel()) -> float:
     """Motor energy K * sum(tau^2) * dt over the trajectory [J] (inf past float range)."""
     with np.errstate(over="ignore"):
-        return model.k_motor * float(traj.tau @ traj.tau) * traj.dt
+        return model.k_motor * _dot(traj.tau, traj.tau) * traj.dt
 
 
 def _energy_raw(alpha, tau, dt, k, mu, alpha0) -> float:
     # Motor energy with a spring carrying mu*(alpha - alpha0) of tau, for
     # any (mu, alpha0): fitters evaluate negative stiffness too.
     r = tau - mu * (alpha - alpha0)
-    return k * float(r @ r) * dt
+    return k * _dot(r, r) * dt
 
 
 def stationarity_residual(
@@ -141,7 +156,7 @@ def stationarity_residual(
 def _gradient_raw(alpha, tau, dt, k, mu, alpha0) -> tuple[float, float]:
     d = alpha0 - alpha
     r = tau + mu * d
-    g_mu = 2.0 * k * float(r @ d) * dt
+    g_mu = 2.0 * k * _dot(r, d) * dt
     g_alpha0 = 2.0 * k * mu * float(np.sum(r)) * dt
     return g_mu, g_alpha0
 
@@ -167,8 +182,8 @@ def _fit_arrays(alpha, tau, dt: float, k: float) -> FitDiagnostics:
         n = alpha.size
         s_a = float(np.sum(alpha))
         s_t = float(np.sum(tau))
-        s_aa = float(alpha @ alpha)
-        s_at = float(alpha @ tau)
+        s_aa = _dot(alpha, alpha)
+        s_at = _dot(alpha, tau)
         if n < 2:
             raise DegenerateTrajectory(f"need >= 2 samples to fit a spring, got {n}")
         if not math.isfinite(s_aa):  # else (s_a / n) ** 2 may raise OverflowError
@@ -190,7 +205,7 @@ def _fit_arrays(alpha, tau, dt: float, k: float) -> FitDiagnostics:
             # Zero covariance: the best slope is 0, but alpha0 multiplies it,
             # so no finite equilibrium exists (unless tau is identically 0).
             mu, alpha0 = 0.0, math.nan
-            res = k * float(tau @ tau) * dt
+            res = k * _dot(tau, tau) * dt
         if not (math.isfinite(mu) and math.isfinite(res)):
             raise DegenerateTrajectory(f"fit is not finite: mu* {mu!r}, residual {res!r}")
         return FitDiagnostics(mu, alpha0, res, defined, n)

@@ -435,8 +435,8 @@ def export_traces_from_dir(result_dir, out_dir) -> list[tuple[Path, Path]]:
 def fit_external(log_path, model: EnergyModel = EnergyModel()) -> dict:
     """Fit a spring to an arbitrary trajectory CSV; summary as a dict.
 
-    Fit and load errors name the log, but a non-uniform timestep only its
-    sample index; a log whose motor energy is not finite is a DegenerateTrajectory.
+    Fit and load errors name the log; a log whose motor energy is not
+    finite is a DegenerateTrajectory.
     """
     traj = load_trajectory(log_path)
     try:
@@ -469,8 +469,17 @@ def _read_ini(path) -> configparser.ConfigParser:
     """Parse INI file ``path`` (lines end as in text mode); check its schema."""
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
+    # configparser's own text of the first two errors spans lines: name the
+    # file and the first bad line once, on one line.
     try:
         parser.read_file(io.StringIO(_read_text(path, "config file"), newline=None), path)
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(
+            f"{path}:{exc.lineno}: no section headers before this line: {exc.line!r}"
+        ) from exc
+    except configparser.ParsingError as exc:
+        line_no, line = exc.errors[0]  # line is a repr already
+        raise ConfigError(f"{path}:{line_no}: not a 'key = value' line: {line}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if "springsim" not in parser:

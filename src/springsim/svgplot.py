@@ -21,11 +21,15 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
         return [lo]
     span = hi - lo
     raw = span / max(1, n - 1)
+    if raw == 0.0:  # a range a few subnormal ulps wide: no step to divide it
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mag * mult >= raw:
             stepv = mag * mult
             break
+    else:  # the power of ten underflows to 0: no representable step
+        return [lo]
     first = math.ceil(lo / stepv) * stepv
     out = []
     v = first

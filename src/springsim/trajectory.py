@@ -139,7 +139,7 @@ class Trajectory:
         if off.size and float(off.max()) > TIMESTEP_TOL:
             bad = int(np.argmax(off > TIMESTEP_TOL)) + 1
             raise NonUniformTimestep(
-                bad, f"t[{bad}]-t[{bad - 1}]={steps[bad - 1]!r} vs dt={dt!r}"
+                bad, f"t[{bad}]-t[{bad - 1}]={float(steps[bad - 1])!r} vs dt={dt!r}"
             )
         for arr in (t, alpha, tau):
             arr.setflags(write=False)
@@ -187,34 +187,52 @@ def save_trajectory(traj: Trajectory, path) -> None:
 #: :func:`repr` writes for a finite float.
 _NUMBER_BYTES = b"0123456789+-.eE"
 
+#: Bytes of a well-formed log checked and parsed at a time, few enough to
+#: stay in cache; a chunk runs on to the end of the line holding its last byte.
+_CHUNK_BYTES = 1 << 17
+
 
 def _parse_bulk(data: bytes) -> np.ndarray | None:
-    """The cells of a well-formed log, row-major, or None to defer.
+    """The columns t, alpha, tau of a well-formed log as a (3, n) array,
+    or None to defer.
 
     Well-formed: the exact header line, then at least two lines that
     each hold three finite numbers made of :data:`_NUMBER_BYTES` only,
     each line ending in a newline. Anything else -- blank lines, CRLF,
     spaces, ``nan``, ``1_0``, non-ASCII bytes -- returns None, and the
     per-line parser decides. numpy parses such cells to the same floats
-    as ``float()``.
+    as ``float()``. The body is checked and parsed a chunk of whole lines
+    at a time, straight into the columns, so beside ``data`` and the
+    columns only O(:data:`_CHUNK_BYTES`) is held.
     """
     header = CSV_HEADER.encode() + b"\n"
     if not data.startswith(header):
         return None
-    body = data[len(header):]
-    n = body.count(b"\n")
-    if n < 2 or body.translate(None, _NUMBER_BYTES) != b",,\n" * n:
+    n = data.count(b"\n", len(header))
+    if n < 2:
         return None
-    try:
-        with warnings.catch_warnings():
-            # older numpy warns, rather than raises, on a cell it cannot parse
-            warnings.simplefilter("error")
-            values = np.fromstring(body.replace(b"\n", b","), sep=",")
-    except (ValueError, DeprecationWarning):
-        return None
-    if values.size != 3 * n or not np.isfinite(values).all():
-        return None
-    return values
+    cols = np.empty((3, n))
+    row, start = 0, len(header)
+    with warnings.catch_warnings():
+        # older numpy warns, rather than raises, on a cell it cannot parse
+        warnings.simplefilter("error")
+        while start < len(data):
+            end = data.find(b"\n", min(start + _CHUNK_BYTES, len(data)) - 1) + 1
+            if not end:  # a last line without a newline
+                return None
+            chunk = data[start:end]
+            m = chunk.count(b"\n")
+            if chunk.translate(None, _NUMBER_BYTES) != b",,\n" * m:
+                return None
+            try:
+                values = np.fromstring(chunk.replace(b"\n", b","), sep=",")
+            except (ValueError, DeprecationWarning):
+                return None
+            if values.size != 3 * m or not np.isfinite(values).all():
+                return None
+            cols[:, row : row + m] = values.reshape(m, 3).T
+            row, start = row + m, end
+    return cols
 
 
 def load_trajectory(path) -> Trajectory:
@@ -222,9 +240,9 @@ def load_trajectory(path) -> Trajectory:
 
     ``dt`` is inferred from the first two timestamps, then the uniform
     grid invariant is validated for the whole file. A well-formed file
-    is parsed in bulk; any other goes through :func:`_load_strict`, the
-    per-line parser, which alone decides what is accepted and which
-    error is raised.
+    is parsed in chunks straight into its columns; any other goes
+    through :func:`_load_strict`, the per-line parser, which alone
+    decides what is accepted and which error is raised.
 
     Raises:
         MissingFile: ``path`` is not a regular file.
@@ -233,15 +251,18 @@ def load_trajectory(path) -> Trajectory:
         MalformedRow: Wrong column count or unparsable number
             (exception carries the 1-based line number).
         NonUniformTimestep: Grid invariant violated (carries the sample
-            index of the first offending step).
+            index of the first offending step, and names ``path``).
     """
     path = Path(path)
     data = read_file(path, MissingFile(path))
-    values = _parse_bulk(data)
-    if values is None:
-        return _load_strict(path, data)
-    del data  # not held while the arrays are built: it sets a large log's peak RSS
-    return Trajectory(values[0::3], values[1::3], values[2::3])
+    try:
+        cols = _parse_bulk(data)
+        if cols is None:
+            return _load_strict(path, data)
+        del data  # not held while the trajectory is checked: it sets a large log's peak RSS
+        return Trajectory(cols[0], cols[1], cols[2])
+    except NonUniformTimestep as exc:
+        raise NonUniformTimestep(exc.index, exc.detail, path) from exc
 
 
 def _load_strict(path, data: bytes) -> Trajectory:

@@ -1,12 +1,17 @@
 """Energy accounting, the closed-form fit, gradients, and the window."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import springsim
 from springsim import (
     DegenerateTrajectory,
     EnergyModel,
@@ -17,8 +22,8 @@ from springsim import (
     fit_optimal,
     stationarity_residual,
 )
-from springsim.fitting import _energy_raw, _gradient_raw
-from springsim.trajectory import Sample
+from springsim.fitting import _DOT_BLOCK, _dot, _energy_raw, _gradient_raw
+from springsim.trajectory import Sample, save_trajectory
 
 from conftest import make_trajectory
 
@@ -91,6 +96,48 @@ class TestEnergy:
         for s in traj:
             acc += s.tau * s.tau * traj.dt
         assert energy(traj, MODEL) == pytest.approx(acc, rel=1e-12)
+
+
+class TestBlockedDot:
+    @pytest.mark.parametrize("n", [0, 1, 2, 1000, _DOT_BLOCK])
+    def test_one_block_is_the_plain_dot(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x, y = rng.standard_normal(n), rng.standard_normal(n)
+            assert _dot(x, y).hex() == float(x @ y).hex()
+
+    def test_blocks_are_summed_left_to_right(self):
+        rng = np.random.default_rng(4)
+        x, y = rng.standard_normal(3 * _DOT_BLOCK + 5), rng.standard_normal(3 * _DOT_BLOCK + 5)
+        acc = float(x[:_DOT_BLOCK] @ y[:_DOT_BLOCK])
+        for i in range(_DOT_BLOCK, x.size, _DOT_BLOCK):
+            acc += float(x[i : i + _DOT_BLOCK] @ y[i : i + _DOT_BLOCK])
+        assert _dot(x, y).hex() == acc.hex()
+
+    def test_fit_output_does_not_depend_on_blas_threads(self, tmp_path):
+        # A badly conditioned 50k-sample log (spread 1e-3 rad around 2 rad):
+        # a dot product split across BLAS threads rounds differently, and
+        # the cancellation in the fit shows it in the printed digits.
+        rng = np.random.default_rng(3)
+        n = 50_000
+        t = np.arange(n) * 0.01
+        alpha = 2.0 + 1e-3 * (0.8 * np.sin(2 * np.pi * t / 1.7) + 0.2 * rng.uniform(-1, 1, n))
+        tau = 12.0 * (alpha - 2.3) + 1e-3 * rng.standard_normal(n)
+        path = tmp_path / "log.csv"
+        save_trajectory(Trajectory(t, alpha, tau), path)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=str(Path(springsim.__file__).parents[1]),
+                OPENBLAS_NUM_THREADS=threads,
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "springsim.cli", "fit", "--json", str(path)],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestEnergyWithSpring:

@@ -40,7 +40,7 @@ from springsim import (
 )
 from springsim import harness
 from springsim.cli import main as cli_main
-from springsim.svgplot import line_plot
+from springsim.svgplot import _ticks, line_plot
 
 from conftest import spy_on_open
 
@@ -416,6 +416,11 @@ class TestTorqueTraces:
         subprocess.run([sys.executable, "-c", code], env=env, timeout=30, check=True)
         assert path.read_text().count(">1e+15</text>") == 1
 
+    @pytest.mark.parametrize("lo, hi", [(2e-323, 4e-323), (0.0, 5e-324)])
+    def test_ticks_of_a_range_with_no_representable_step(self, lo, hi):
+        # The step (hi - lo) / 4, or its power of ten, underflows to 0.
+        assert _ticks(lo, hi) == [lo]
+
     def test_paper_literal_window_is_one_motion_period(self, tmp_path):
         # Under "paper-literal" the motion period is 2*pi*0.3 s = 188.5
         # samples at 100 Hz; the last full one starts nearest 4 * 188.5.
@@ -683,6 +688,19 @@ class TestCli:
         assert (tmp_path / "t" / "baseline_torques.svg").is_file()
         assert (tmp_path / "t" / "period_3.77_torques.csv").is_file()
 
+    def test_traces_of_subnormal_torques(self, grid_dir, tmp_path, capsys):
+        out, _ = grid_dir
+        res = tmp_path / "res"
+        shutil.copytree(out, res)
+        for name, tau in (("no_spring", "2e-323"), ("with_spring", "4e-323")):
+            trace = res / "traces" / f"baseline_{name}.csv"
+            lines = trace.read_text().splitlines()
+            lines[1:] = [line.rsplit(",", 1)[0] + "," + tau for line in lines[1:]]
+            trace.write_text("\n".join(lines) + "\n")
+        assert cli_main(["traces", str(res), "--out", str(tmp_path / "t")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "t" / "baseline_torques.svg").is_file()
+
     def test_traces_missing_report_exit_one(self, tmp_path, capsys):
         rc = cli_main(["traces", str(tmp_path / "void"), "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -813,6 +831,27 @@ class TestCli:
         path.write_text(f"t,alpha_rad,tau_Nm\n0.0,0.1,1.0\n{t1},0.2,1.5\n0.02,0.3,2.0\n")
         assert cli_main(["fit", str(path)]) == 1
         assert "sample index 1" in self._assert_one_line_error(capsys, "fit")
+
+    def test_fit_non_uniform_timestep_names_the_log(self, tmp_path, capsys):
+        path = tmp_path / "jump.csv"
+        path.write_text("t,alpha_rad,tau_Nm\n0.0,0.1,1.0\n0.01,0.2,1.5\n0.5,0.3,2.0\n")
+        assert cli_main(["fit", str(path)]) == 1
+        err = self._assert_one_line_error(capsys, "fit")
+        assert f"{path}: non-uniform timestep at sample index 2: t[2]-t[1]=0.49" in err
+        assert "np.float64" not in err
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("\ufeff[springsim]\nschema = 1\n\n[x]\nmass = 4.1\n", ":1: "),  # a BOM
+            ("[springsim]\nschema = 1\n\n[x]\nmass\nt_period = 1.88\n", ":5: "),  # no '='
+        ],
+    )
+    def test_specs_parse_error_is_one_line(self, tmp_path, capsys, text, where):
+        p = tmp_path / "bad.ini"
+        p.write_bytes(text.encode())
+        assert cli_main(["grid", "--specs", str(p), "--out", str(tmp_path / "g")]) == 1
+        assert f"{p}{where}" in self._assert_one_line_error(capsys, "grid")
 
     def test_specs_non_utf8_exit_one(self, tmp_path, capsys):
         p = tmp_path / "latin1.ini"

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,15 +306,42 @@ def _assert_parity(path):
     assert _outcome(load_trajectory, path) == strict
 
 
+#: Chunk sizes for the bulk parser besides the default, which holds a
+#: small log whole: a chunk per line (1) and a few lines each (7, 64).
+SMALL_CHUNKS = [1, 7, 64]
+
+#: Hypothesis settings of the parity properties.
+PARITY_SETTINGS = settings(
+    max_examples=300,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _odd_cell_log(tmp_path, cell, col):
+    rows = [["0.0", "0.1", "1.0"], ["0.01", "0.2", "1.1"], ["0.02", "0.3", "1.2"]]
+    rows[1][col] = cell
+    text = CSV_HEADER + "\n" + "".join(",".join(r) + "\n" for r in rows)
+    path = tmp_path / "odd.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    return path
+
+
 class TestBulkParser:
-    @settings(
-        max_examples=300,
-        deadline=None,
-        database=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @PARITY_SETTINGS
     @given(data=mutated_logs())
     def test_same_result_as_per_line_parser(self, tmp_path, data):
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        _assert_parity(path)
+
+    # Chunk boundaries on every line, a final line without a newline included.
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    @PARITY_SETTINGS
+    @given(data=mutated_logs())
+    def test_same_result_in_small_chunks(self, tmp_path, monkeypatch, chunk, data):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
         path = tmp_path / "log.csv"
         path.write_bytes(data)
         _assert_parity(path)
@@ -321,12 +349,14 @@ class TestBulkParser:
     @pytest.mark.parametrize("cell", ODD_CELLS + [f"1.5{c}" for c in ODD_CHARS])
     @pytest.mark.parametrize("col", [0, 2])
     def test_each_odd_cell_same_as_per_line_parser(self, tmp_path, cell, col):
-        rows = [["0.0", "0.1", "1.0"], ["0.01", "0.2", "1.1"], ["0.02", "0.3", "1.2"]]
-        rows[1][col] = cell
-        text = CSV_HEADER + "\n" + "".join(",".join(r) + "\n" for r in rows)
-        path = tmp_path / "odd.csv"
-        path.write_bytes(text.encode("utf-8", "surrogateescape"))
-        _assert_parity(path)
+        _assert_parity(_odd_cell_log(tmp_path, cell, col))
+
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    @pytest.mark.parametrize("cell", ODD_CELLS + [f"1.5{c}" for c in ODD_CHARS])
+    @pytest.mark.parametrize("col", [0, 2])
+    def test_each_odd_cell_in_small_chunks(self, tmp_path, monkeypatch, cell, col, chunk):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
+        _assert_parity(_odd_cell_log(tmp_path, cell, col))
 
     def test_saved_file_takes_bulk_path(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(3)
@@ -340,6 +370,41 @@ class TestBulkParser:
 
         monkeypatch.setattr(trajectory, "_load_strict", refuse)
         assert load_trajectory(path) == traj
+
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS + [trajectory._CHUNK_BYTES])
+    def test_chunks_fill_the_columns_bit_for_bit(self, tmp_path, monkeypatch, chunk):
+        rng = np.random.default_rng(5)
+        n = 300
+        traj = Trajectory(np.arange(n) * 1e-3, rng.standard_normal(n), rng.standard_normal(n))
+        path = tmp_path / "bulk.csv"
+        save_trajectory(traj, path)
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
+        cols = trajectory._parse_bulk(path.read_bytes())
+        assert cols is not None and cols.flags.c_contiguous
+        assert cols.tobytes() == np.stack([traj.t, traj.alpha, traj.tau]).tobytes()
+        loaded = load_trajectory(path)
+        assert loaded == traj and loaded.t.base is loaded.tau.base  # rows of one array
+
+    def test_bulk_load_holds_the_file_and_its_columns_only(self, tmp_path):
+        # Peak traced memory of a load: the file's bytes, 24 B per sample of
+        # columns, and O(_CHUNK_BYTES) of chunk buffers; no full-size copy
+        # of the text or of the cells.
+        rng = np.random.default_rng(9)
+        n = 50_000
+        traj = Trajectory(
+            np.arange(n) * 1e-3, 2.0 + 1e-3 * rng.standard_normal(n), rng.standard_normal(n)
+        )
+        path = tmp_path / "big.csv"
+        save_trajectory(traj, path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_trajectory(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == traj
+        assert peak <= size + 24 * n + 4 * trajectory._CHUNK_BYTES + 65536, (peak, size)
 
     def test_lenient_log_is_read_once(self, tmp_path, monkeypatch):
         path = _write(tmp_path / "crlf.csv", CSV_HEADER + "\r\n0.0,0.1,1.0\r\n0.01,0.2,1.1\r\n")
