@@ -469,8 +469,8 @@ def _read_ini(path) -> configparser.ConfigParser:
     """Parse INI file ``path`` (lines end as in text mode); check its schema."""
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
-    # configparser's own text of the first two errors spans lines: name the
-    # file and the first bad line once, on one line.
+    # configparser's own text of these errors spans lines or names the file
+    # twice, once as a repr: name it and the first bad line once, on one line.
     try:
         parser.read_file(io.StringIO(_read_text(path, "config file"), newline=None), path)
     except configparser.MissingSectionHeaderError as exc:
@@ -480,6 +480,13 @@ def _read_ini(path) -> configparser.ConfigParser:
     except configparser.ParsingError as exc:
         line_no, line = exc.errors[0]  # line is a repr already
         raise ConfigError(f"{path}:{line_no}: not a 'key = value' line: {line}") from exc
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(
+            f"{path}:{exc.lineno}: option {exc.option!r} in section {exc.section!r} "
+            "already exists"
+        ) from exc
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: section {exc.section!r} already exists") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if "springsim" not in parser:

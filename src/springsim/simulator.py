@@ -61,9 +61,9 @@ JACOBIAN_TOL = 1e-6
 #: Work budget of one run: the largest ``(duration * control_rate) *
 #: (control period / physics_dt)`` a SimConfig accepts, each factor taken
 #: before rounding and at least 1. Measured at 1e6 and scaled (2-vCPU x86-64
-#: VM, Python 3.11.7, numpy 2.4.6), the worst case is about 140 s of kernel
-#: time and 5 GB of logs when every substep is a tick (1.4 us, 50 B a
-#: tick), or about 47 s when one tick holds them all (0.47 us a substep).
+#: VM, Python 3.11.7, numpy 2.4.6, min of 8), the worst case is about 110 s of
+#: kernel time and 5 GB of logs when every substep is a tick (1.1 us, 50 B a
+#: tick), or about 33 s when one tick holds them all (0.33 us a substep).
 MAX_SUBSTEPS = 10**8
 
 
@@ -324,8 +324,8 @@ def run(cfg: SimConfig) -> Trajectory:
     bit-identical results.
 
     The loop below is the integration kernel: :func:`step` and the
-    reference formulas of :mod:`.leg` inlined, bit for bit, so a change
-    here is mirrored there.
+    reference formulas of :mod:`.leg` inlined, bit for bit (a comment says
+    why each respelling rounds the same), so a change here is mirrored there.
 
     Raises:
         SingularConfiguration: |dh/dtheta| < 1e-6 or theta left (0, pi).
@@ -336,21 +336,20 @@ def run(cfg: SimConfig) -> Trajectory:
     n_sub = cfg.n_substeps
     dt = cfg.effective_dt
     ctrl_period = ctrl.period
-    link_len, mass, g = cfg.geom.link_len, cfg.geom.mass, cfg.geom.g
+    link_len, mass = cfg.geom.link_len, cfg.geom.mass
+    mg = mass * cfg.geom.g  # m*g*dh rounds as (m*g)*dh: Python multiplies left to right
     kp, kd = ctrl.kp, ctrl.kd
     h0, amp, omega = cfg.h0, cfg.amplitude, cfg.omega
     has_spring = cfg.spring is not None
-    mu = cfg.spring.mu if has_spring else 0.0
-    alpha0 = cfg.spring.alpha0 if has_spring else 0.0
+    mu, alpha0 = (cfg.spring.mu, cfg.spring.alpha0) if has_spring else (0.0, 0.0)
     has_limit = cfg.torque_limit is not None
     torque_limit = cfg.torque_limit if has_limit else 0.0
     theta_log = np.empty(n_ticks, dtype=np.float64)
     tau_log = np.empty(n_ticks, dtype=np.float64)
     state0 = initial_state(cfg)
 
-    two_l = 2.0 * link_len
-    theta = state0.theta
-    dtheta = state0.theta_dot
+    two_l, tol = 2.0 * link_len, JACOBIAN_TOL
+    theta, dtheta = state0.theta, state0.theta_dot
     for k in range(n_ticks):
         t_k = k * ctrl_period
         h_ref = h0 + amp * sin(omega * t_k)
@@ -367,17 +366,18 @@ def run(cfg: SimConfig) -> Trajectory:
                     u = -torque_limit
             if j == 0:
                 tau_log[k] = -u
+            if has_spring:
+                u -= mu * (theta - alpha0)  # u + (-x) == u - x exactly
             dh = link_len * cos(0.5 * theta)
-            if dh < JACOBIAN_TOL and dh > -JACOBIAN_TOL:
+            if dh < tol:  # theta is in (0, pi] or NaN, so dh > 0 or NaN
                 raise SingularConfiguration(theta, t_k + j * dt)
-            m_eff = mass * dh * dh
-            tau_spring = -mu * (theta - alpha0) if has_spring else 0.0
-            acc = (u + tau_spring - mass * g * dh) / m_eff
-            dtheta = dtheta + dt * acc
-            theta = theta + dt * dtheta
-            if not (isfinite(theta) and isfinite(dtheta)):
-                raise NonFiniteState(t_k + (j + 1) * dt)
-            if theta <= 0.0 or theta >= pi:
+            dtheta += dt * ((u - mg * dh) / (mass * dh * dh))
+            theta += dt * dtheta
+            # step()'s two checks in one, exactly: theta = theta + dt*dtheta is
+            # inf or NaN whenever dtheta is, and then fails this compare too.
+            if not 0.0 < theta < pi:
+                if not (isfinite(theta) and isfinite(dtheta)):
+                    raise NonFiniteState(t_k + (j + 1) * dt)
                 raise SingularConfiguration(theta, t_k + (j + 1) * dt)
     t = np.arange(n_ticks, dtype=np.float64) * ctrl_period
     return Trajectory(t, theta_log, tau_log, dt=ctrl_period)

@@ -5,8 +5,11 @@ they print. Every tolerance is fixed here, not calibrated at runtime.
 """
 
 import contextlib
+import hashlib
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from springsim.fitting import _energy_raw, _gradient_raw
 from conftest import make_trajectory
 
 MODEL = EnergyModel()
+PAPER_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench/reference/paper_grid.json"
 
 
 @contextlib.contextmanager
@@ -241,3 +245,11 @@ def test_criterion_8_streaming_batch_equivalence():
             )
             checked += 1
         assert checked == n - cap + 1
+
+
+def test_paper_report_is_byte_identical_to_the_benchmark_reference(grid_dir):
+    # The benchmark gates every pass on this digest; pinning it here makes a
+    # change to any reported float fail tier-1 too.
+    out, _ = grid_dir
+    digest = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
+    assert digest == json.loads(PAPER_REFERENCE.read_text())["report_sha256"]

@@ -853,6 +853,21 @@ class TestCli:
         assert cli_main(["grid", "--specs", str(p), "--out", str(tmp_path / "g")]) == 1
         assert f"{p}{where}" in self._assert_one_line_error(capsys, "grid")
 
+    @pytest.mark.parametrize(
+        "repeat, message",
+        [
+            ("mass = 5.0\n", ":6: option 'mass' in section 'x' already exists"),
+            ("[x]\n", ":6: section 'x' already exists"),
+        ],
+        ids=["option", "section"],
+    )
+    def test_specs_duplicate_is_one_line(self, tmp_path, capsys, repeat, message):
+        p = tmp_path / "dup.ini"
+        p.write_text("[springsim]\nschema = 1\n\n[x]\nmass = 4.1\n" + repeat)
+        assert cli_main(["grid", "--specs", str(p), "--out", str(tmp_path / "g")]) == 1
+        err = self._assert_one_line_error(capsys, "grid")
+        assert err == f"springsim grid: error: {p}{message}\n"
+
     def test_specs_non_utf8_exit_one(self, tmp_path, capsys):
         p = tmp_path / "latin1.ini"
         p.write_bytes(

@@ -233,14 +233,33 @@ class TestStep:
                 "physics_dt": 3e-3,  # 7 substeps of 1/350 s
             },
             {"sine_convention": "paper-literal", "t_period": 0.3},
+            # the spring term is taken after the clamp, on both of its sides
+            {
+                "spring": SpringParams(20.0, 2.0),
+                "torque_limit": 2.0,
+                "t_period": 0.5,
+                "duration": 1.0,
+            },
+            {"physics_dt": 0.01},  # one substep a tick at 100 Hz
         ],
-        ids=["plain", "spring", "torque_limit", "substeps_50hz", "paper_literal"],
+        ids=[
+            "plain",
+            "spring",
+            "torque_limit",
+            "substeps_50hz",
+            "paper_literal",
+            "spring_and_limit",
+            "one_substep",
+        ],
     )
     def test_step_reproduces_run_exactly(self, kw):
-        cfg = base_cfg(duration=0.5, **kw)
+        cfg = base_cfg(**{"duration": 0.5, **kw})
         traj = run(cfg)
         if cfg.torque_limit is not None:
             assert np.abs(traj.tau).max() == cfg.torque_limit  # the clamp engaged
+        if cfg.torque_limit is not None and cfg.spring is not None:
+            assert traj.tau.max() == cfg.torque_limit
+            assert traj.tau.min() == -cfg.torque_limit
         state = initial_state(cfg)
         n_sub = cfg.n_substeps
         logged_theta, logged_tau = [], []
@@ -265,8 +284,24 @@ class TestStep:
             {"torque_limit": 2.0, "physics_dt": 5e-4, "duration": 0.5},
             # a subnormal mass overflows the acceleration: NonFiniteState
             {"geom": LegGeometry(link_len=0.28, mass=1e-310, g=9.81), "duration": 0.5},
+            # the cases that leave (0, pi) upward: theta = 3.1798 at t = 0.025 s,
+            # and on the last substep of a run, where no Jacobian check follows
+            {"spring": SpringParams(300.0, 3.1), "torque_limit": 5.0},
+            {
+                "spring": SpringParams(1000.0, 3.1),
+                "torque_limit": 5.0,
+                "physics_dt": 0.01,
+                "duration": 0.01,
+            },
         ],
-        ids=["limit_5Nm", "weak_kp", "limit_2Nm_dt_5e-4", "nonfinite"],
+        ids=[
+            "limit_5Nm",
+            "weak_kp",
+            "limit_2Nm_dt_5e-4",
+            "nonfinite",
+            "overextends",
+            "overextends_last_substep",
+        ],
     )
     def test_step_reproduces_run_failure_exactly(self, kw):
         cfg = base_cfg(**kw)
