@@ -1,12 +1,14 @@
 """File reads and atomic writes shared by every reader and writer.
 
-Every input file is read by :func:`read_file`. Every file springsim
-produces goes through :func:`atomic_write`, so a reader never sees a
-half-written file and a failed write leaves the old file in place;
-directories are created and stale files removed through :func:`make_dir`
-and :func:`remove_file`. All four raise :class:`~springsim.errors.IoFailure`
-on any OS-level problem. Float columns are formatted by :func:`float_rows`
-with ``repr``, the shortest string that parses back to the same float.
+Every input file is opened once, by :func:`open_input`: a log is read
+from the open file a chunk at a time, every other input whole, by
+:func:`read_file`. Every file springsim produces goes through
+:func:`atomic_write`, so a reader never sees a half-written file and a
+failed write leaves the old file in place; directories are created and
+stale files removed through :func:`make_dir` and :func:`remove_file`.
+All five raise :class:`~springsim.errors.IoFailure` on any OS-level
+problem. Float columns are formatted by :func:`float_rows` with
+``repr``, the shortest string that parses back to the same float.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import os
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 from .errors import IoFailure
 
@@ -27,16 +30,31 @@ def float_rows(header: str, a: list, b: list, c: list) -> str:
     return header + "\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in zip(a, b, c))
 
 
-def read_file(path, missing: Exception) -> bytes:
-    """The bytes of input file ``path``; raises ``missing`` if it is not a
-    regular file and IoFailure on any other OS-level problem."""
+@contextlib.contextmanager
+def open_input(path, missing: Exception) -> Iterator[BinaryIO]:
+    """Input file ``path``, opened for binary reads and closed on exit.
+
+    Raises ``missing`` if ``path`` is not a regular file, and IoFailure
+    on any other OS-level problem: opening it, or any read or seek in
+    the ``with`` block.
+    """
     try:
         if not Path(path).is_file():
             raise missing
-        with open(path, "rb") as fh:
-            return fh.read()
+        fh = open(path, "rb")
     except OSError as exc:
         raise IoFailure(path, exc) from exc
+    with fh:
+        try:
+            yield fh
+        except OSError as exc:
+            raise IoFailure(path, exc) from exc
+
+
+def read_file(path, missing: Exception) -> bytes:
+    """The bytes of input file ``path``, in one read; errors as :func:`open_input`."""
+    with open_input(path, missing) as fh:
+        return fh.read()
 
 
 def atomic_write(path, text: str) -> None:

@@ -135,9 +135,14 @@ def energy(traj: Trajectory, model: EnergyModel = EnergyModel()) -> float:
 
 def _energy_raw(alpha, tau, dt, k, mu, alpha0) -> float:
     # Motor energy with a spring carrying mu*(alpha - alpha0) of tau, for
-    # any (mu, alpha0): fitters evaluate negative stiffness too.
-    r = tau - mu * (alpha - alpha0)
-    return k * _dot(r, r) * dt
+    # any (mu, alpha0): fitters evaluate negative stiffness too. The
+    # residual is formed a block at a time and summed as _dot(r, r) sums
+    # it, so no full-length temporary is held.
+    total = 0.0
+    for i in range(0, tau.size, _DOT_BLOCK):
+        r = tau[i : i + _DOT_BLOCK] - mu * (alpha[i : i + _DOT_BLOCK] - alpha0)
+        total += float(r @ r)
+    return k * total * dt
 
 
 def stationarity_residual(
@@ -278,8 +283,10 @@ class WindowState:
         """Closed-form fit on the current window contents.
 
         Same contract (and errors) as :func:`fit_optimal` restricted to
-        the retained samples. The ring is not reordered: the sums do not
-        depend on the order of the samples.
+        the retained samples. The ring is fitted in slot order, not oldest
+        first, so it is not copied. In floats the sums depend on that
+        order: once the ring has wrapped, a fit can differ in its last
+        bits from :func:`fit_optimal` on :meth:`contents`.
         """
         self._flush()
         n = self._filled

@@ -151,6 +151,13 @@ class SimConfig:
         ):
             raise ValueError(f"torque_limit must be > 0, got {self.torque_limit!r}")
         sine_omega(self.t_period, self.sine_convention)  # validates the enum
+        # The kernel divides by (mass*dh)*dh only where |dh| >= JACOBIAN_TOL,
+        # and rounding is monotone: this keeps every such divisor above 0.
+        if self.geom.mass * JACOBIAN_TOL * JACOBIAN_TOL == 0.0:
+            raise ValueError(
+                f"mass {self.geom.mass!r} is too small: mass*dh*dh rounds to 0 "
+                f"at |dh| = JACOBIAN_TOL = {JACOBIAN_TOL!r}"
+            )
         # Before n_ticks/n_substeps round them: round(inf) raises.
         ticks = max(1.0, self.duration * self.controller.control_rate)
         substeps = max(1.0, self.controller.period / self.physics_dt)

@@ -27,11 +27,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from ._fileio import atomic_write, float_rows, read_file
+from ._fileio import atomic_write, float_rows, open_input
 from .errors import (
     EmptyFile,
     MalformedRow,
@@ -43,6 +43,10 @@ CSV_HEADER = "t,alpha_rad,tau_Nm"
 
 #: Maximum tolerated deviation of a timestamp from the uniform grid [s].
 TIMESTEP_TOL = 1e-9
+
+#: Elements of a column that a check over the whole column works on at a
+#: time, so that its temporaries do not grow with the log.
+_CHECK_BLOCK = 8192
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,7 +127,8 @@ class Trajectory:
                 f"shape mismatch: t{t.shape}, alpha{alpha.shape}, tau{tau.shape}"
             )
         for name, arr in (("t", t), ("alpha", alpha), ("tau", tau)):
-            if not np.all(np.isfinite(arr)):
+            blocks = range(0, arr.size, _CHECK_BLOCK)
+            if not all(np.isfinite(arr[i : i + _CHECK_BLOCK]).all() for i in blocks):
                 raise ValueError(f"non-finite value in {name}")
         if dt is None:
             if t.size < 2:
@@ -134,13 +139,14 @@ class Trajectory:
         dt = float(dt)
         if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be positive, got {dt!r}")
-        steps = np.diff(t)
-        off = np.abs(steps - dt)
-        if off.size and float(off.max()) > TIMESTEP_TOL:
-            bad = int(np.argmax(off > TIMESTEP_TOL)) + 1
-            raise NonUniformTimestep(
-                bad, f"t[{bad}]-t[{bad - 1}]={float(steps[bad - 1])!r} vs dt={dt!r}"
-            )
+        for i in range(0, t.size - 1, _CHECK_BLOCK):
+            steps = np.diff(t[i : i + _CHECK_BLOCK + 1])
+            off = np.abs(steps - dt)
+            if float(off.max()) > TIMESTEP_TOL:
+                bad = i + int(np.argmax(off > TIMESTEP_TOL)) + 1
+                raise NonUniformTimestep(
+                    bad, f"t[{bad}]-t[{bad - 1}]={float(steps[bad - 1 - i])!r} vs dt={dt!r}"
+                )
         for arr in (t, alpha, tau):
             arr.setflags(write=False)
         object.__setattr__(self, "t", t)
@@ -187,41 +193,67 @@ def save_trajectory(traj: Trajectory, path) -> None:
 #: :func:`repr` writes for a finite float.
 _NUMBER_BYTES = b"0123456789+-.eE"
 
-#: Bytes of a well-formed log checked and parsed at a time, few enough to
-#: stay in cache; a chunk runs on to the end of the line holding its last byte.
+#: Bytes of a well-formed log read, checked and parsed at a time, few
+#: enough to stay in cache; a chunk runs on to the end of the line holding
+#: its last byte.
 _CHUNK_BYTES = 1 << 17
 
 
-def _parse_bulk(data: bytes) -> np.ndarray | None:
-    """The columns t, alpha, tau of a well-formed log as a (3, n) array,
-    or None to defer.
+def _line_chunks(fh: BinaryIO, size: int) -> Iterator[bytes]:
+    """The rest of ``fh`` in chunks of ``size`` bytes, each run on to the end
+    of the line holding its last byte; the last ends where the file does."""
+    while chunk := fh.read(size):
+        if not chunk.endswith(b"\n"):
+            chunk += fh.readline()
+        yield chunk
+
+
+def _parse_bulk(fh: BinaryIO) -> np.ndarray | None:
+    """The columns t, alpha, tau of the well-formed log that ``fh`` reads
+    from its start, as a (3, n) array; or None to defer.
 
     Well-formed: the exact header line, then at least two lines that
     each hold three finite numbers made of :data:`_NUMBER_BYTES` only,
     each line ending in a newline. Anything else -- blank lines, CRLF,
     spaces, ``nan``, ``1_0``, non-ASCII bytes -- returns None, and the
     per-line parser decides. numpy parses such cells to the same floats
-    as ``float()``. The body is checked and parsed a chunk of whole lines
-    at a time, straight into the columns, so beside ``data`` and the
-    columns only O(:data:`_CHUNK_BYTES`) is held.
+    as ``float()``.
+
+    A log shorter than one chunk takes a single ``read()``. A longer one
+    is read twice, a :data:`_CHUNK_BYTES` chunk at a time: once to count
+    its lines, then once more to check and parse each chunk of whole
+    lines straight into the preallocated columns. So beside the columns
+    only O(:data:`_CHUNK_BYTES`) is held. A log whose header or line
+    count changes between the two reads returns None. On return ``fh``
+    may be at any position.
     """
     header = CSV_HEADER.encode() + b"\n"
-    if not data.startswith(header):
+    size = max(_CHUNK_BYTES, len(header))  # the first read holds the header
+    head = fh.read(size)
+    if not head.startswith(header):
         return None
-    n = data.count(b"\n", len(header))
+    n = head.count(b"\n") - 1
+    if len(head) < size:  # a short read: the whole file
+        chunks: Iterable[bytes] = [head[len(header) :]]
+    else:
+        n += sum(block.count(b"\n") for block in iter(lambda: fh.read(size), b""))
+        fh.seek(0)
+        if fh.read(len(header)) != header:
+            return None
+        chunks = _line_chunks(fh, size)
+    del head
     if n < 2:
         return None
     cols = np.empty((3, n))
-    row, start = 0, len(header)
+    row = 0
     with warnings.catch_warnings():
         # older numpy warns, rather than raises, on a cell it cannot parse
         warnings.simplefilter("error")
-        while start < len(data):
-            end = data.find(b"\n", min(start + _CHUNK_BYTES, len(data)) - 1) + 1
-            if not end:  # a last line without a newline
-                return None
-            chunk = data[start:end]
+        for chunk in chunks:
             m = chunk.count(b"\n")
+            # a last line without a newline, or more lines than counted
+            if not chunk.endswith(b"\n") or row + m > n:
+                return None
             if chunk.translate(None, _NUMBER_BYTES) != b",,\n" * m:
                 return None
             try:
@@ -231,22 +263,24 @@ def _parse_bulk(data: bytes) -> np.ndarray | None:
             if values.size != 3 * m or not np.isfinite(values).all():
                 return None
             cols[:, row : row + m] = values.reshape(m, 3).T
-            row, start = row + m, end
-    return cols
+            row += m
+    return cols if row == n else None
 
 
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory CSV written by :func:`save_trajectory`.
 
     ``dt`` is inferred from the first two timestamps, then the uniform
-    grid invariant is validated for the whole file. A well-formed file
-    is parsed in chunks straight into its columns; any other goes
-    through :func:`_load_strict`, the per-line parser, which alone
+    grid invariant is validated for the whole file. The file is opened
+    once. A well-formed file is read and parsed a chunk at a time,
+    straight into its columns, so a load holds 24 bytes per sample plus
+    O(:data:`_CHUNK_BYTES`). Any other file is read whole, from the same
+    handle, by :func:`_load_strict`, the per-line parser, which alone
     decides what is accepted and which error is raised.
 
     Raises:
         MissingFile: ``path`` is not a regular file.
-        IoFailure: ``path`` could not be read.
+        IoFailure: ``path`` could not be opened or read.
         EmptyFile: No data rows, or a single row (dt not inferable).
         MalformedRow: Wrong column count or unparsable number
             (exception carries the 1-based line number).
@@ -254,12 +288,12 @@ def load_trajectory(path) -> Trajectory:
             index of the first offending step, and names ``path``).
     """
     path = Path(path)
-    data = read_file(path, MissingFile(path))
     try:
-        cols = _parse_bulk(data)
-        if cols is None:
-            return _load_strict(path, data)
-        del data  # not held while the trajectory is checked: it sets a large log's peak RSS
+        with open_input(path, MissingFile(path)) as fh:
+            cols = _parse_bulk(fh)
+            if cols is None:
+                fh.seek(0)
+                return _load_strict(path, fh.read())
         return Trajectory(cols[0], cols[1], cols[2])
     except NonUniformTimestep as exc:
         raise NonUniformTimestep(exc.index, exc.detail, path) from exc

@@ -31,12 +31,13 @@ def make_trajectory(rng, n=None, dt=0.01, slope=None, alpha0=None, noise=0.05):
     return Trajectory(t, alpha, tau, dt=dt)
 
 
-def spy_on_open(monkeypatch, path, refuse=False):
+def spy_on_open(monkeypatch, path, refuse=False, reader=None):
     """Record each ``open`` of ``path`` (through ``open`` or ``io.open``).
 
     With ``refuse``, each such open raises ``PermissionError``, as for a
-    file without read permission (file modes do not stop root). Returns
-    the list that records the opens.
+    file without read permission (file modes do not stop root). With
+    ``reader``, each such open returns ``reader(path)`` in place of the
+    file. Returns the list that records the opens.
     """
     path = os.fspath(path)
     real_open = io.open
@@ -47,6 +48,8 @@ def spy_on_open(monkeypatch, path, refuse=False):
             opened.append(args)
             if refuse:
                 raise PermissionError(errno.EACCES, "Permission denied", path)
+            if reader is not None:
+                return reader(path)
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", spy)

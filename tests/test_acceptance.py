@@ -33,12 +33,25 @@ from springsim import (
     save_trajectory,
     stationarity_residual,
 )
+from springsim import trajectory
+from springsim.cli import main as cli_main
 from springsim.fitting import _energy_raw, _gradient_raw
 
 from conftest import make_trajectory
 
 MODEL = EnergyModel()
 PAPER_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench/reference/paper_grid.json"
+
+#: ``springsim fit --json`` on the ``pinned_fit_log`` fixture, as ``repr``,
+#: recorded when the whole log was still read into memory before parsing.
+#: Like the paper-grid digest, it holds for the BLAS dot kernel of the
+#: x86-64 host that recorded it.
+FIT_PIN = {
+    "mu_star": "11.999677663489692",
+    "alpha0_star": "2.300007999170973",
+    "e0": "1943.9915361287085",
+    "ea": "1.2545215155765325e-05",
+}
 
 
 @contextlib.contextmanager
@@ -253,3 +266,30 @@ def test_paper_report_is_byte_identical_to_the_benchmark_reference(grid_dir):
     out, _ = grid_dir
     digest = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
     assert digest == json.loads(PAPER_REFERENCE.read_text())["report_sha256"]
+
+
+@pytest.fixture(scope="module")
+def pinned_fit_log(tmp_path_factory):
+    """A seeded 150k-sample log of 7.0 MB, 54 default chunks.
+
+    Its angles spread 1e-3 rad around 2 rad, so the cancellation in the
+    raw-sum fit shows a change in any sum. It is made from uniform draws
+    and arithmetic only, so its bytes are the same on every platform.
+    """
+    n = 150_000
+    rng = np.random.default_rng(11)
+    t = np.arange(n) * 1e-3
+    alpha = 2.0 + 1e-3 * (rng.random(n) - 0.5)
+    tau = 12.0 * (alpha - 2.3) + 1e-3 * (rng.random(n) - 0.5)
+    path = tmp_path_factory.mktemp("fit_pin") / "log.csv"
+    save_trajectory(Trajectory(t, alpha, tau, dt=1e-3), path)
+    return path
+
+
+@pytest.mark.parametrize("chunk", [trajectory._CHUNK_BYTES, 1, 7, 64])
+def test_fit_output_is_pinned_for_any_chunk_size(pinned_fit_log, monkeypatch, capsys, chunk):
+    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
+    assert cli_main(["fit", str(pinned_fit_log), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["n_samples"] == 150_000
+    assert {key: repr(out[key]) for key in FIT_PIN} == FIT_PIN

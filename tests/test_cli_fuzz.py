@@ -65,7 +65,7 @@ spring_alpha0 = 2.8
 VALUES = [
     b"", b"abc", b"nan", b"inf", b"-inf", b"-1", b"0", b"1e999", b"0x10", b"1_0",
     b"0.5", b"2", b"1e300", b"1e-300", b"%", b"%(x)s", b"period", b"paper-literal",
-    "café".encode(), b"\xff", b" ", b"a,b", b'"',
+    "café".encode(), b"\xff", b" ", b"a,b", b'"', b"5e-324",
 ]
 INI_LINES = [
     b"[springsim]", b"[a]", b"[b]", b"[run]", b"[DEFAULT]", b"[", b"=", b"schema = 2",
@@ -154,7 +154,7 @@ def base_result(tmp_path_factory):
 # to inf (round() raised OverflowError; now SimConfig's work budget
 # rejects it) and a logged angle of 1e300, whose square overflowed in the
 # fit. A logged torque of 1e200 printed numpy overflow warnings before
-# the fit's output.
+# the fit's output. A mass of 5e-324 kg made the kernel divide by zero.
 @example(template=TEMPLATES[0], flag_edits=[], ini_edits=[("field", 1, 1, b"%(x)s")],
          report_edits=[], log_edits=[])
 @example(template=TEMPLATES[1], flag_edits=[], ini_edits=[("field", 4, 1, b"%")],
@@ -171,6 +171,10 @@ def base_result(tmp_path_factory):
          log_edits=[("field", 2, 1, b"1e300")])
 @example(template=TEMPLATES[2], flag_edits=[], ini_edits=[], report_edits=[],
          log_edits=[("field", 2, 2, b"1e200")])
+@example(template=TEMPLATES[0], flag_edits=[], ini_edits=[("field", 4, 1, b"5e-324")],
+         report_edits=[], log_edits=[])
+@example(template=TEMPLATES[1], flag_edits=[], ini_edits=[("field", 4, 1, b"5e-324")],
+         report_edits=[], log_edits=[])
 @pytest.mark.filterwarnings("error")  # a warning is stderr noise: fail on it
 @settings(max_examples=150, deadline=None, database=None)
 @given(

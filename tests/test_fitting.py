@@ -114,6 +114,17 @@ class TestBlockedDot:
             acc += float(x[i : i + _DOT_BLOCK] @ y[i : i + _DOT_BLOCK])
         assert _dot(x, y).hex() == acc.hex()
 
+    # _energy_raw forms the residual a block at a time; the sum must be the
+    # one _dot gives on the full-length residual, bit for bit.
+    @pytest.mark.parametrize("n", [1, 2, 1000, _DOT_BLOCK, _DOT_BLOCK + 1, 3 * _DOT_BLOCK + 5])
+    def test_blocked_residual_energy_is_the_full_length_one(self, n):
+        rng = np.random.default_rng(n)
+        alpha, tau = 2.0 + 1e-3 * rng.standard_normal(n), rng.standard_normal(n)
+        mu, alpha0 = 11.7, 2.3
+        r = tau - mu * (alpha - alpha0)
+        full = 1.5 * _dot(r, r) * 0.01
+        assert _energy_raw(alpha, tau, 0.01, 1.5, mu, alpha0).hex() == full.hex()
+
     def test_fit_output_does_not_depend_on_blas_threads(self, tmp_path):
         # A badly conditioned 50k-sample log (spread 1e-3 rad around 2 rad):
         # a dot product split across BLAS threads rounds differently, and

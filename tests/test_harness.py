@@ -889,6 +889,22 @@ class TestCli:
         assert "latin1.ini" in self._assert_one_line_error(capsys, "run")
         assert not out.exists()
 
+    # m_eff = mass*dh*dh would underflow to 0 in the kernel: a ZeroDivisionError
+    # traceback once. SimConfig rejects the mass, as it does any bad row.
+    @pytest.mark.parametrize("command", ["grid", "run"])
+    def test_subnormal_mass_exit_one(self, tmp_path, capsys, command):
+        p = tmp_path / "tiny.ini"
+        section = "[run]" if command == "run" else "[tiny]"
+        p.write_text(
+            f"[springsim]\nschema = 1\n\n{section}\nmass = 5e-324\nt_period = 0.02\n"
+            "amplitude = 0.05\nh0 = 0.2\nduration = 0.05\n"
+        )
+        out = tmp_path / "out"
+        flag = "--config" if command == "run" else "--specs"
+        assert cli_main([command, flag, str(p), "--out", str(out)]) == 1
+        assert "mass 5e-324 is too small" in self._assert_one_line_error(capsys, command)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit", "grid", "run", "traces"])
     def test_unreadable_input_file_exit_one(
         self, grid_dir, tmp_path, capsys, monkeypatch, command

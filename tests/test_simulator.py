@@ -22,7 +22,7 @@ from springsim import (
     save_trajectory,
     step,
 )
-from springsim.simulator import MAX_SUBSTEPS
+from springsim.simulator import JACOBIAN_TOL, MAX_SUBSTEPS
 
 GEOM = LegGeometry(link_len=0.28, mass=4.1, g=9.81)
 PD = ControllerConfig(kp=300.0, kd=1.0, control_rate=100.0)
@@ -72,6 +72,19 @@ class TestConfigValidation:
     def test_torque_limit_positive(self):
         with pytest.raises(ValueError):
             base_cfg(torque_limit=0.0)
+
+    # The kernel's divisor mass*dh*dh underflows to 0 for a mass this small
+    # even at the smallest |dh| it divides by; 1e-310 kg still runs (and
+    # overflows to NonFiniteState, see TestStep).
+    @pytest.mark.parametrize("mass", [5e-324, 1e-320, 2e-312])
+    def test_mass_whose_divisor_underflows_rejected(self, mass):
+        with pytest.raises(ValueError, match="mass .* is too small"):
+            base_cfg(geom=LegGeometry(link_len=0.28, mass=mass, g=9.81))
+
+    def test_smallest_mass_accepted_keeps_the_divisor_positive(self):
+        mass = 2.5e-312
+        base_cfg(geom=LegGeometry(link_len=0.28, mass=mass, g=9.81))
+        assert (mass * JACOBIAN_TOL) * JACOBIAN_TOL > 0.0
 
     # Each of these asks for far more substeps than MAX_SUBSTEPS; the
     # config rejects it before anything is run or allocated.

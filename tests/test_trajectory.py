@@ -1,5 +1,7 @@
 """Trajectory construction invariants and CSV round-trips."""
 
+import errno
+import io
 import math
 import struct
 import tracemalloc
@@ -20,10 +22,14 @@ from springsim import (
     load_trajectory,
     save_trajectory,
 )
-from springsim import trajectory
+from springsim import fit_external, trajectory
+from springsim.cli import main as cli_main
 from springsim.trajectory import CSV_HEADER
 
 from conftest import spy_on_open
+
+#: ``open`` itself, for writes to a file whose opens a test spies on.
+_REAL_OPEN = io.open
 
 
 def _write(path, text):
@@ -89,6 +95,28 @@ class TestConstruction:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             Trajectory([0.0, 0.01], [0.1, math.nan], [0.0, 0.0])
+
+    # At 8 elements a block the checks cross block edges: each must find
+    # what a check of the whole column finds.
+    @pytest.mark.parametrize("bad", [1, 7, 8, 9, 16, 19])
+    def test_first_off_grid_step_found_in_any_block(self, monkeypatch, bad):
+        monkeypatch.setattr(trajectory, "_CHECK_BLOCK", 8)
+        t = np.arange(20) * 0.01
+        t[bad:] += 0.001  # the step into sample `bad` is off the grid, no later one
+        with pytest.raises(NonUniformTimestep) as exc:
+            Trajectory(t, np.zeros(20), np.zeros(20), dt=0.01)
+        assert exc.value.index == bad
+        assert exc.value.detail == f"t[{bad}]-t[{bad - 1}]={float(t[bad] - t[bad - 1])!r} vs dt=0.01"
+
+    @pytest.mark.parametrize("bad", [0, 7, 8, 19])
+    def test_nonfinite_found_in_any_block_before_the_grid(self, monkeypatch, bad):
+        monkeypatch.setattr(trajectory, "_CHECK_BLOCK", 8)
+        t = np.arange(20) * 0.01
+        t[2] = 5.0  # off the grid too: the non-finite value is reported first
+        tau = np.zeros(20)
+        tau[bad] = math.inf
+        with pytest.raises(ValueError, match="non-finite value in tau"):
+            Trajectory(t, np.zeros(20), tau, dt=0.01)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -292,6 +320,69 @@ def mutated_logs(draw):
     return text.encode("utf-8", "surrogateescape")
 
 
+def _small_log(tmp_path):
+    """A saved 1000-sample log of about 45 KB, and its trajectory."""
+    rng = np.random.default_rng(3)
+    n = 1000
+    traj = Trajectory(np.arange(n) * 1.0, rng.standard_normal(n), rng.standard_normal(n))
+    path = tmp_path / "small.csv"
+    save_trajectory(traj, path)
+    return path, traj
+
+
+def _big_log(tmp_path):
+    """A saved 50k-sample log of about 2.3 MB, and its trajectory."""
+    rng = np.random.default_rng(9)
+    n = 50_000
+    traj = Trajectory(
+        np.arange(n) * 1e-3, 2.0 + 1e-3 * rng.standard_normal(n), rng.standard_normal(n)
+    )
+    path = tmp_path / "big.csv"
+    save_trajectory(traj, path)
+    return path, traj
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _rewrite(path, data):
+    """Replace the contents of ``path``, past any ``open`` spy."""
+    with _REAL_OPEN(path, "wb") as fh:
+        fh.write(data)
+
+
+class SpyReader(io.BufferedReader):
+    """A buffered binary file that counts its ``read`` calls.
+
+    ``on_seek`` runs once, before the first seek. The read numbered
+    ``fail_read`` (from 1) raises EIO.
+    """
+
+    def __init__(self, path, on_seek=None, fail_read=None):
+        super().__init__(io.FileIO(path))
+        self.reads = 0
+        self._on_seek, self._fail_read = on_seek, fail_read
+
+    def read(self, size=-1):
+        self.reads += 1
+        if self.reads == self._fail_read:
+            raise OSError(errno.EIO, "Input/output error")
+        return super().read(size)
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        on_seek, self._on_seek = self._on_seek, None
+        if on_seek is not None:
+            on_seek()
+        return super().seek(pos, whence)
+
+
 def _outcome(load, path):
     """Bit-exact arrays and dt, or the error class with its line or index."""
     try:
@@ -379,38 +470,96 @@ class TestBulkParser:
         path = tmp_path / "bulk.csv"
         save_trajectory(traj, path)
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
-        cols = trajectory._parse_bulk(path.read_bytes())
+        with open(path, "rb") as fh:
+            cols = trajectory._parse_bulk(fh)
         assert cols is not None and cols.flags.c_contiguous
         assert cols.tobytes() == np.stack([traj.t, traj.alpha, traj.tau]).tobytes()
         loaded = load_trajectory(path)
         assert loaded == traj and loaded.t.base is loaded.tau.base  # rows of one array
 
-    def test_bulk_load_holds_the_file_and_its_columns_only(self, tmp_path):
-        # Peak traced memory of a load: the file's bytes, 24 B per sample of
-        # columns, and O(_CHUNK_BYTES) of chunk buffers; no full-size copy
-        # of the text or of the cells.
-        rng = np.random.default_rng(9)
-        n = 50_000
-        traj = Trajectory(
-            np.arange(n) * 1e-3, 2.0 + 1e-3 * rng.standard_normal(n), rng.standard_normal(n)
-        )
-        path = tmp_path / "big.csv"
-        save_trajectory(traj, path)
-        size = path.stat().st_size
-        tracemalloc.start()
-        try:
-            loaded = load_trajectory(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    # Peak traced memory of a load, and of a load and fit: 24 B per sample
+    # of columns and O(_CHUNK_BYTES) of chunk buffers. Nothing grows with
+    # the file: neither its bytes nor a full-size temporary are held.
+    def test_bulk_load_holds_its_columns_and_a_few_chunks_only(self, tmp_path):
+        path, traj = _big_log(tmp_path)
+        loaded, peak = _traced_peak(load_trajectory, path)
         assert loaded == traj
-        assert peak <= size + 24 * n + 4 * trajectory._CHUNK_BYTES + 65536, (peak, size)
+        assert peak <= 24 * len(traj) + 4 * trajectory._CHUNK_BYTES + 65536, peak
+
+    def test_fit_holds_the_columns_and_a_few_chunks_only(self, tmp_path):
+        path, traj = _big_log(tmp_path)
+        info, peak = _traced_peak(fit_external, path)
+        assert info["n_samples"] == len(traj)
+        assert peak <= 24 * len(traj) + 4 * trajectory._CHUNK_BYTES + 65536, peak
 
     def test_lenient_log_is_read_once(self, tmp_path, monkeypatch):
         path = _write(tmp_path / "crlf.csv", CSV_HEADER + "\r\n0.0,0.1,1.0\r\n0.01,0.2,1.1\r\n")
         opened = spy_on_open(monkeypatch, path)
         assert len(load_trajectory(path)) == 2
         assert len(opened) == 1
+
+    def test_log_of_one_chunk_takes_one_read(self, tmp_path, monkeypatch):
+        path, traj = _small_log(tmp_path)
+        assert path.stat().st_size < trajectory._CHUNK_BYTES
+        fh = SpyReader(path)
+        opened = spy_on_open(monkeypatch, path, reader=lambda p: fh)
+        assert load_trajectory(path) == traj
+        assert len(opened) == 1 and fh.reads == 1
+
+    # Between the count and the parse, the file is rewritten. The second
+    # read sees the change and hands the file to the per-line parser,
+    # which reads it again from the same handle.
+    @pytest.mark.parametrize(
+        "change",
+        ["grow", "grow_malformed", "shrink", "shrink_mid_line", "no_final_newline", "header"],
+    )
+    def test_log_changed_between_reads_goes_to_per_line_parser(
+        self, tmp_path, monkeypatch, change
+    ):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 4096)
+        path, _ = _small_log(tmp_path)
+        data = path.read_bytes()
+        body = data.splitlines(keepends=True)
+        new = {
+            "grow": data + repr(len(body) - 1 + 0.0).encode() + b",0.5,0.5\n",  # one more sample
+            "grow_malformed": data + b"7.0,0.5\n",
+            "shrink": b"".join(body[:-5]),
+            "shrink_mid_line": data[: len(data) // 2],
+            "no_final_newline": data[:-1],
+            "header": data.replace(b"alpha_rad", b"alpha_deg", 1),  # same length
+        }[change]
+        fresh = tmp_path / "fresh.csv"
+        fresh.write_bytes(new)
+        expected = _outcome(load_trajectory, fresh)
+
+        strict = []
+        real_strict = trajectory._load_strict
+        monkeypatch.setattr(
+            trajectory, "_load_strict", lambda p, d: strict.append(p) or real_strict(p, d)
+        )
+        fh = SpyReader(path, on_seek=lambda: _rewrite(path, new))
+        opened = spy_on_open(monkeypatch, path, reader=lambda p: fh)
+        assert _outcome(load_trajectory, path) == expected
+        assert len(opened) == 1 and strict == [path]
+
+    # A read that fails: the first, one while counting, one while parsing,
+    # and the per-line parser's whole-file read of a lenient log.
+    @pytest.mark.parametrize("lenient, fail_read", [(False, 1), (False, 3), (False, 16), (True, 2)])
+    def test_read_error_is_one_line_exit_one(
+        self, tmp_path, monkeypatch, capsys, lenient, fail_read
+    ):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 4096)
+        path, _ = _small_log(tmp_path)
+        if lenient:
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        fh = SpyReader(path, fail_read=fail_read)
+        spy_on_open(monkeypatch, path, reader=lambda p: fh)
+        assert cli_main(["fit", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1, captured
+        assert str(path) in err[0] and "Input/output error" in err[0]
+        assert fh.reads == fail_read and fh.closed
 
     @pytest.mark.parametrize(
         "body",
