@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
@@ -32,15 +31,12 @@ from .simulator import run as run_sim
 from .trajectory import save_trajectory
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of ``--k-motor``: a finite number > 0, else exit code 2."""
+def _energy_model(text: str) -> EnergyModel:
+    """argparse type of ``--k-motor``: the model it sets, else exit code 2."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
+        return EnergyModel(k_motor=float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=_cmd_fit)
     for p in (p_run, p_grid, p_fit):
         p.add_argument(
-            "--k-motor", type=_positive_float, default=1.0, help="motor energy constant K"
+            "--k-motor", type=_energy_model, default=EnergyModel(), dest="model",
+            metavar="K_MOTOR", help="motor energy constant K",
         )
 
     p_traces = sub.add_parser(
@@ -86,8 +83,7 @@ def _cmd_run(args) -> int:
     cfg = load_run_config(args.config)
     traj = run_sim(cfg)
     save_trajectory(traj, args.out)
-    model = EnergyModel(k_motor=args.k_motor)
-    e = energy(traj, model)
+    e = energy(traj, args.model)
     print(f"wrote {args.out}: {len(traj)} samples @ {1.0 / traj.dt:g} Hz")
     if cfg.spring is not None:
         print(
@@ -101,7 +97,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_grid(args) -> int:
     specs = paper_table() if args.table == "paper" else load_specs_file(args.specs)
-    report = run_grid(specs, args.out, EnergyModel(k_motor=args.k_motor))
+    report = run_grid(specs, args.out, args.model)
     for r in report.results:
         note = "  [clamped to no spring]" if r.clamped else ""
         print(
@@ -116,7 +112,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    info = fit_external(args.trajectory, EnergyModel(k_motor=args.k_motor))
+    info = fit_external(args.trajectory, args.model)
     if args.json:
         print(json.dumps(info, indent=2, sort_keys=True))
         return 0

@@ -119,8 +119,6 @@ class FitDiagnostics:
 def _dot(x, y) -> float:
     """``x @ y`` as blocks of :data:`_DOT_BLOCK` summed left to right: the
     same bits for any BLAS thread count, and ``x @ y`` itself up to one block."""
-    if x.size <= _DOT_BLOCK:
-        return float(x @ y)
     total = float(x[:_DOT_BLOCK] @ y[:_DOT_BLOCK])
     for i in range(_DOT_BLOCK, x.size, _DOT_BLOCK):
         total += float(x[i : i + _DOT_BLOCK] @ y[i : i + _DOT_BLOCK])

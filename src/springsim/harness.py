@@ -91,6 +91,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not _LABEL_RE.match(self.label):
             raise ValueError(f"label must be filesystem-safe, got {self.label!r}")
+        if self.label == "springsim":  # the schema section of a specs file
+            raise ValueError("label 'springsim' is reserved for the schema section")
         unknown = set(self.overrides) - set(OVERRIDE_KEYS)
         if unknown:
             raise ValueError(f"{self.label}: unknown overrides {sorted(unknown)}")
@@ -468,7 +470,9 @@ def fit_external(log_path, model: EnergyModel = EnergyModel()) -> dict:
 def _read_ini(path) -> configparser.ConfigParser:
     """Parse INI file ``path`` (lines end as in text mode); check its schema."""
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header line can spell "\n", so [DEFAULT] is an ordinary section
+    # rather than defaults that leak into every other one.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     # configparser's own text of these errors spans lines or names the file
     # twice, once as a repr: name it and the first bad line once, on one line.
     try:

@@ -27,7 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -44,8 +44,8 @@ CSV_HEADER = "t,alpha_rad,tau_Nm"
 #: Maximum tolerated deviation of a timestamp from the uniform grid [s].
 TIMESTEP_TOL = 1e-9
 
-#: Elements of a column that a check over the whole column works on at a
-#: time, so that its temporaries do not grow with the log.
+#: Elements of ``t`` that the grid check works on at a time, so that its
+#: temporaries do not grow with the log.
 _CHECK_BLOCK = 8192
 
 
@@ -127,8 +127,8 @@ class Trajectory:
                 f"shape mismatch: t{t.shape}, alpha{alpha.shape}, tau{tau.shape}"
             )
         for name, arr in (("t", t), ("alpha", alpha), ("tau", tau)):
-            blocks = range(0, arr.size, _CHECK_BLOCK)
-            if not all(np.isfinite(arr[i : i + _CHECK_BLOCK]).all() for i in blocks):
+            # min and max are NaN if any element is, and +-inf if any is
+            if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
                 raise ValueError(f"non-finite value in {name}")
         if dt is None:
             if t.size < 2:
@@ -219,37 +219,26 @@ def _parse_bulk(fh: BinaryIO) -> np.ndarray | None:
     per-line parser decides. numpy parses such cells to the same floats
     as ``float()``.
 
-    A log shorter than one chunk takes a single ``read()``. A longer one
-    is read twice, a :data:`_CHUNK_BYTES` chunk at a time: once to count
-    its lines, then once more to check and parse each chunk of whole
-    lines straight into the preallocated columns. So beside the columns
-    only O(:data:`_CHUNK_BYTES`) is held. A log whose header or line
-    count changes between the two reads returns None. On return ``fh``
-    may be at any position.
+    The log is read twice, a :data:`_CHUNK_BYTES` chunk at a time: once
+    to count its lines, then once more to check and parse each chunk of
+    whole lines straight into the preallocated columns. So beside the
+    columns only O(:data:`_CHUNK_BYTES`) is held. A log whose header or
+    line count changes between the two reads returns None. On return
+    ``fh`` may be at any position.
     """
     header = CSV_HEADER.encode() + b"\n"
-    size = max(_CHUNK_BYTES, len(header))  # the first read holds the header
-    head = fh.read(size)
-    if not head.startswith(header):
+    if fh.read(len(header)) != header:
         return None
-    n = head.count(b"\n") - 1
-    if len(head) < size:  # a short read: the whole file
-        chunks: Iterable[bytes] = [head[len(header) :]]
-    else:
-        n += sum(block.count(b"\n") for block in iter(lambda: fh.read(size), b""))
-        fh.seek(0)
-        if fh.read(len(header)) != header:
-            return None
-        chunks = _line_chunks(fh, size)
-    del head
-    if n < 2:
+    n = sum(block.count(b"\n") for block in iter(lambda: fh.read(_CHUNK_BYTES), b""))
+    fh.seek(0)
+    if n < 2 or fh.read(len(header)) != header:
         return None
     cols = np.empty((3, n))
     row = 0
     with warnings.catch_warnings():
         # older numpy warns, rather than raises, on a cell it cannot parse
         warnings.simplefilter("error")
-        for chunk in chunks:
+        for chunk in _line_chunks(fh, _CHUNK_BYTES):
             m = chunk.count(b"\n")
             # a last line without a newline, or more lines than counted
             if not chunk.endswith(b"\n") or row + m > n:
@@ -272,11 +261,12 @@ def load_trajectory(path) -> Trajectory:
 
     ``dt`` is inferred from the first two timestamps, then the uniform
     grid invariant is validated for the whole file. The file is opened
-    once. A well-formed file is read and parsed a chunk at a time,
-    straight into its columns, so a load holds 24 bytes per sample plus
-    O(:data:`_CHUNK_BYTES`). Any other file is read whole, from the same
-    handle, by :func:`_load_strict`, the per-line parser, which alone
-    decides what is accepted and which error is raised.
+    once. A well-formed file is read twice, a chunk at a time: once to
+    count its lines, once to parse them straight into its columns. So a
+    load holds 24 bytes per sample plus O(:data:`_CHUNK_BYTES`). Any
+    other file is read whole, from the same handle, by
+    :func:`_load_strict`, the per-line parser, which alone decides what
+    is accepted and which error is raised.
 
     Raises:
         MissingFile: ``path`` is not a regular file.

@@ -80,6 +80,12 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec("has space", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.2)
 
+    # A grid row of the schema section's name would write a specs.ini with
+    # two [springsim] sections, which could not be read back.
+    def test_schema_section_label_rejected(self):
+        with pytest.raises(ValueError, match="springsim"):
+            ExperimentSpec("springsim", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.2)
+
     def test_unreachable_band_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec("too_high", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.55)
@@ -488,6 +494,27 @@ class TestConfigFiles:
         save_specs_file(specs, path)
         back = load_specs_file(path)
         assert back == specs
+
+    # configparser would take [DEFAULT] for defaults of every other section.
+    def test_default_section_is_a_row_like_any_other(self, tmp_path):
+        p = tmp_path / "default.ini"
+        p.write_text(
+            "[springsim]\nschema = 1\n\n[DEFAULT]\nmass = 4.1\nt_period = 1.88\n"
+            "amplitude = 0.05\nh0 = 0.2\nduration = 1.0\n\n"
+            "[a]\nmass = 8.1\nt_period = 0.94\namplitude = 0.08\nh0 = 0.15\n"
+        )
+        assert load_specs_file(p) == [
+            ExperimentSpec("DEFAULT", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.2,
+                           overrides={"duration": 1.0}),
+            ExperimentSpec("a", mass=8.1, t_period=0.94, amplitude=0.08, h0=0.15),
+        ]
+
+    def test_readme_run_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        p = tmp_path / "run.ini"
+        p.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg = load_run_config(p)
+        assert (cfg.geom.mass, cfg.t_period, cfg.amplitude, cfg.h0) == (4.1, 1.88, 0.05, 0.2)
 
     def test_missing_schema_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"

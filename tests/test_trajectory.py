@@ -96,8 +96,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Trajectory([0.0, 0.01], [0.1, math.nan], [0.0, 0.0])
 
-    # At 8 elements a block the checks cross block edges: each must find
-    # what a check of the whole column finds.
+    # At 8 elements a block the grid check crosses block edges: it must
+    # find what a check of the whole column finds, and a non-finite value
+    # anywhere is reported before it.
     @pytest.mark.parametrize("bad", [1, 7, 8, 9, 16, 19])
     def test_first_off_grid_step_found_in_any_block(self, monkeypatch, bad):
         monkeypatch.setattr(trajectory, "_CHECK_BLOCK", 8)
@@ -401,6 +402,9 @@ def _assert_parity(path):
 #: small log whole: a chunk per line (1) and a few lines each (7, 64).
 SMALL_CHUNKS = [1, 7, 64]
 
+#: The default chunk size and the small ones.
+CHUNKS = [trajectory._CHUNK_BYTES] + SMALL_CHUNKS
+
 #: Hypothesis settings of the parity properties.
 PARITY_SETTINGS = settings(
     max_examples=300,
@@ -420,18 +424,12 @@ def _odd_cell_log(tmp_path, cell, col):
 
 
 class TestBulkParser:
+    # In small chunks, chunk boundaries fall on every line, a final line
+    # without a newline included.
+    @pytest.mark.parametrize("chunk", CHUNKS)
     @PARITY_SETTINGS
     @given(data=mutated_logs())
-    def test_same_result_as_per_line_parser(self, tmp_path, data):
-        path = tmp_path / "log.csv"
-        path.write_bytes(data)
-        _assert_parity(path)
-
-    # Chunk boundaries on every line, a final line without a newline included.
-    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
-    @PARITY_SETTINGS
-    @given(data=mutated_logs())
-    def test_same_result_in_small_chunks(self, tmp_path, monkeypatch, chunk, data):
+    def test_same_result_as_per_line_parser(self, tmp_path, monkeypatch, chunk, data):
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
         path = tmp_path / "log.csv"
         path.write_bytes(data)
@@ -462,7 +460,7 @@ class TestBulkParser:
         monkeypatch.setattr(trajectory, "_load_strict", refuse)
         assert load_trajectory(path) == traj
 
-    @pytest.mark.parametrize("chunk", SMALL_CHUNKS + [trajectory._CHUNK_BYTES])
+    @pytest.mark.parametrize("chunk", CHUNKS)
     def test_chunks_fill_the_columns_bit_for_bit(self, tmp_path, monkeypatch, chunk):
         rng = np.random.default_rng(5)
         n = 300
@@ -497,14 +495,6 @@ class TestBulkParser:
         opened = spy_on_open(monkeypatch, path)
         assert len(load_trajectory(path)) == 2
         assert len(opened) == 1
-
-    def test_log_of_one_chunk_takes_one_read(self, tmp_path, monkeypatch):
-        path, traj = _small_log(tmp_path)
-        assert path.stat().st_size < trajectory._CHUNK_BYTES
-        fh = SpyReader(path)
-        opened = spy_on_open(monkeypatch, path, reader=lambda p: fh)
-        assert load_trajectory(path) == traj
-        assert len(opened) == 1 and fh.reads == 1
 
     # Between the count and the parse, the file is rewritten. The second
     # read sees the change and hands the file to the per-line parser,
@@ -543,7 +533,9 @@ class TestBulkParser:
         assert len(opened) == 1 and strict == [path]
 
     # A read that fails: the first, one while counting, one while parsing,
-    # and the per-line parser's whole-file read of a lenient log.
+    # and the per-line parser's whole-file read of a lenient log. In
+    # 4096-byte chunks the 45 KB log takes read 1 for the header, 2-14 to
+    # count, 15 for the header again and 16 on to parse.
     @pytest.mark.parametrize("lenient, fail_read", [(False, 1), (False, 3), (False, 16), (True, 2)])
     def test_read_error_is_one_line_exit_one(
         self, tmp_path, monkeypatch, capsys, lenient, fail_read
