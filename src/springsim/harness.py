@@ -468,7 +468,10 @@ def fit_external(log_path, model: EnergyModel = EnergyModel()) -> dict:
 
 
 def _read_ini(path) -> configparser.ConfigParser:
-    """Parse INI file ``path`` (lines end as in text mode); check its schema."""
+    """Parse INI file ``path`` (lines end as in text mode); check its schema.
+
+    ``[springsim]`` holds the schema and nothing else.
+    """
     path = Path(path)
     # No header line can spell "\n", so [DEFAULT] is an ordinary section
     # rather than defaults that leak into every other one.
@@ -500,6 +503,9 @@ def _read_ini(path) -> configparser.ConfigParser:
         raise ConfigError(
             f"{path}: unsupported schema {schema!r} (expected {SCHEMA_VERSION!r})"
         )
+    for key in parser["springsim"]:
+        if key != "schema":
+            raise ConfigError(f"{path}: [springsim]: unknown key {key!r}")
     return parser
 
 
@@ -554,8 +560,11 @@ def save_specs_file(specs: list[ExperimentSpec], path) -> None:
 
 
 def load_run_config(path) -> SimConfig:
-    """Read a single-run config ([run] section; optional spring_mu/alpha0)."""
+    """Read a single-run config: [springsim] and [run], optional spring_mu/alpha0."""
     parser = _read_ini(path)
+    for name in parser.sections():
+        if name not in ("springsim", "run"):
+            raise ConfigError(f"{path}: unknown section [{name}] (expected [springsim] and [run])")
     if "run" not in parser:
         raise ConfigError(f"{path}: missing [run] section")
     sec = parser["run"]

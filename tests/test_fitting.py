@@ -1,9 +1,13 @@
 """Energy accounting, the closed-form fit, gradients, and the window."""
 
+import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -467,6 +471,63 @@ class TestWindow:
             else:
                 _assert_fit_matches_batch(w, expected)
 
+    # SHA-256 of every fit below, one "mu*,alpha0*,residual,n" line each with
+    # the floats as float.hex(). Any change to a summation order moves a
+    # last bit of some fit, and this digest with it.
+    WINDOW_PIN = "df1d9b56a4d529ab0efe43a98ad899493f0828a07f478e4f346a25acadd2de41"
+
+    def test_window_fits_are_pinned(self):
+        # 20k samples through 4096 slots, a fit every 200 pushes: the ring
+        # wraps inside a flush. Angles spread 1e-3 rad around 2 rad, so the
+        # raw sums cancel and show their rounding. Uniform draws and
+        # arithmetic only, so the samples are the same on every platform.
+        n, cap, every = 20_000, 4096, 200
+        rng = np.random.default_rng(19)
+        alpha = 2.0 + 1e-3 * (rng.random(n) - 0.5)
+        tau = 12.0 * (alpha - 2.3) + 1e-3 * (rng.random(n) - 0.5)
+        w = WindowState(capacity=cap, dt=1e-3)
+        digest = hashlib.sha256()
+        for i, (a, b) in enumerate(zip(alpha.tolist(), tau.tolist()), start=1):
+            w.push(Sample(i * 1e-3, a, b))
+            if i % every == 0:
+                d = w.fit()
+                line = f"{d.mu_star.hex()},{d.alpha0_star.hex()},{d.residual_energy.hex()},{d.n}\n"
+                digest.update(line.encode())
+        assert digest.hexdigest() == self.WINDOW_PIN
+
+    def test_push_is_a_snapshot(self):
+        # A sample may hold 0-d arrays that its owner reuses; the window
+        # keeps the values they had at the push, pending or flushed.
+        w, ref = WindowState(capacity=4, dt=0.01), WindowState(capacity=4, dt=0.01)
+        for i, (a, b) in enumerate([(0.5, 1.0), (1.5, 3.0), (2.5, 5.5)]):
+            alpha, tau = np.array(a), np.array(b)
+            w.push(Sample(0.01 * i, alpha, tau))
+            ref.push(Sample(0.01 * i, a, b))
+            alpha[()], tau[()] = -9.0, 7.0
+            if i == 1:
+                assert w.contents() == ref.contents()  # flushes the two pending
+        assert w.contents() == ref.contents() == [(0.5, 1.0), (1.5, 3.0), (2.5, 5.5)]
+        assert w.fit() == ref.fit()
+
+    _REALS = {
+        "int": [3, -2, 7],
+        "bool": [True, False, True],
+        "float32": [np.float32(0.1), np.float32(-2.7), np.float32(1e-3)],
+        "float64": [np.float64(0.1), np.float64(-2.7), np.float64(1e-3)],
+        "Decimal": [Decimal("0.1"), Decimal("-2.7"), Decimal("1e-3")],
+        "Fraction": [Fraction(1, 3), Fraction(-27, 10), Fraction(1, 1000)],
+    }
+
+    @pytest.mark.parametrize("values", _REALS.values(), ids=_REALS.keys())
+    def test_push_keeps_the_float_of_any_real(self, values):
+        w = WindowState(capacity=4, dt=0.01)
+        for i, (a, b) in enumerate(zip(values, values[::-1])):
+            w.push(Sample(0.01 * i, a, b))
+        want = [(float(a), float(b)) for a, b in zip(values, values[::-1])]
+        got = w.contents()
+        assert got == want
+        assert {type(x) for pair in got for x in pair} == {float}
+
     def test_badly_conditioned_stream_matches_centred_oracle(self):
         # 1e-3 rad of motion around 2 rad: the raw moments cancel in six
         # or seven of their digits, so rounding carried over from evicted
@@ -493,3 +554,37 @@ class TestWindow:
             diag = w.fit()
             worst = max(worst, abs(diag.mu_star / mu - 1.0), abs(diag.alpha0_star / alpha0 - 1.0))
         assert worst <= 1e-7
+
+
+def _traced_peak(fn) -> int:
+    """Bytes ``fn()`` holds at its peak beyond what was live at its start."""
+    fn()  # first-call allocations are not the call's own
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocation:
+    # A fit holds one residual buffer a block, 8 bytes a sample up to
+    # _DOT_BLOCK samples, and O(1) objects besides. Each bound sits about
+    # halfway between that and the peak of the residual spelt
+    # tau - mu * (alpha - alpha0), whose temporaries took 65 KiB at 4096
+    # samples and 193 KiB at 150k.
+    def test_window_fit_holds_one_residual(self):
+        cap = 4096
+        rng = np.random.default_rng(20)
+        w = WindowState(capacity=cap, dt=0.01)
+        for i, (a, b) in enumerate(rng.random((cap + 100, 2)).tolist()):
+            w.push(Sample(0.01 * i, a, b))
+        assert _traced_peak(w.fit) <= 48 * 1024
+
+    def test_fit_holds_at_most_two_blocks(self):
+        # The next block's residual is allocated before the last is freed.
+        n = 150_000
+        rng = np.random.default_rng(21)
+        traj = _traj(2.0 + 1e-3 * rng.random(n), rng.random(n), dt=1e-3)
+        assert _traced_peak(lambda: fit_optimal(traj, MODEL)) <= 160 * 1024

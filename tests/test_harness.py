@@ -827,6 +827,39 @@ class TestCli:
         assert "MAX_SUBSTEPS" in self._assert_one_line_error(capsys, "run")
         assert not out.exists()
 
+    # Each of these once loaded as a 10 s run with no spring and no error.
+    @pytest.mark.parametrize(
+        "name, key",
+        [("spring", "spring_mu = 3.0"), ("DEFAULT", "duration = 0.5")],
+        ids=["spring", "DEFAULT"],
+    )
+    def test_run_config_unknown_section_exit_one(self, tmp_path, capsys, name, key):
+        p = tmp_path / "extra.ini"
+        p.write_text(
+            "[springsim]\nschema = 1\n\n[run]\nmass = 4.1\nt_period = 1.88\n"
+            f"amplitude = 0.05\nh0 = 0.2\n\n[{name}]\n{key}\n"
+        )
+        out = tmp_path / "traj.csv"
+        assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 1
+        err = self._assert_one_line_error(capsys, "run")
+        assert f"{p}: unknown section [{name}]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["grid", "run"])
+    def test_unknown_schema_key_exit_one(self, tmp_path, capsys, command):
+        p = tmp_path / "units.ini"
+        section = "[run]" if command == "run" else "[x]"
+        p.write_text(
+            f"[springsim]\nschema = 1\nunits = imperial\n\n{section}\nmass = 4.1\n"
+            "t_period = 1.88\namplitude = 0.05\nh0 = 0.2\nduration = 0.5\n"
+        )
+        out = tmp_path / "out"
+        flag = "--config" if command == "run" else "--specs"
+        assert cli_main([command, flag, str(p), "--out", str(out)]) == 1
+        err = self._assert_one_line_error(capsys, command)
+        assert f"{p}: [springsim]: unknown key 'units'" in err
+        assert not out.exists()
+
     def test_specs_non_numeric_override_exit_one(self, tmp_path, capsys):
         p = tmp_path / "kp.ini"
         p.write_text(
