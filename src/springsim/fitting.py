@@ -130,8 +130,13 @@ def _dot(x, y) -> float:
 
 def energy(traj: Trajectory, model: EnergyModel = EnergyModel()) -> float:
     """Motor energy K * sum(tau^2) * dt over the trajectory [J] (inf past float range)."""
+    return _energy_arrays(traj.tau, traj.dt, model.k_motor)
+
+
+def _energy_arrays(tau, dt: float, k: float) -> float:
+    # energy on a bare array: energy, _fit_arrays and the log fit
     with np.errstate(over="ignore"):
-        return model.k_motor * _dot(traj.tau, traj.tau) * traj.dt
+        return k * _dot(tau, tau) * dt
 
 
 def _energy_raw(alpha, tau, dt, k, mu, alpha0) -> float:
@@ -214,7 +219,7 @@ def _fit_arrays(alpha, tau, dt: float, k: float) -> FitDiagnostics:
             # Zero covariance: the best slope is 0, but alpha0 multiplies it,
             # so no finite equilibrium exists (unless tau is identically 0).
             mu, alpha0 = 0.0, math.nan
-            res = k * _dot(tau, tau) * dt
+            res = _energy_arrays(tau, dt, k)
         if not (math.isfinite(mu) and math.isfinite(res)):
             raise DegenerateTrajectory(f"fit is not finite: mu* {mu!r}, residual {res!r}")
         return FitDiagnostics(mu, alpha0, res, defined, n)
@@ -274,6 +279,8 @@ class WindowState:
         # Pending samples never outnumber the slots, so each lands once:
         # at the head, split in two only where the ring wraps.
         m = len(self._new_alpha)
+        if not m:
+            return
         cap, head = self.capacity, self._head
         room = cap - head
         for ring, new in ((self._alpha, self._new_alpha), (self._tau, self._new_tau)):

@@ -130,29 +130,16 @@ class Trajectory:
             # min and max are NaN if any element is, and +-inf if any is
             if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
                 raise ValueError(f"non-finite value in {name}")
-        if dt is None:
-            if t.size < 2:
-                raise ValueError("dt must be given explicitly for a 1-sample trajectory")
-            dt = float(t[1] - t[0])
-            if not dt > 0.0:
-                raise NonUniformTimestep(1, f"t[1]-t[0]={dt!r} is not positive")
-        dt = float(dt)
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise ValueError(f"dt must be positive, got {dt!r}")
-        for i in range(0, t.size - 1, _CHECK_BLOCK):
-            steps = np.diff(t[i : i + _CHECK_BLOCK + 1])
-            off = np.abs(steps - dt)
-            if float(off.max()) > TIMESTEP_TOL:
-                bad = i + int(np.argmax(off > TIMESTEP_TOL)) + 1
-                raise NonUniformTimestep(
-                    bad, f"t[{bad}]-t[{bad - 1}]={float(steps[bad - 1 - i])!r} vs dt={dt!r}"
-                )
+        if dt is None and t.size < 2:
+            raise ValueError("dt must be given explicitly for a 1-sample trajectory")
+        grid = _Grid(dt)
+        grid.feed(t)
         for arr in (t, alpha, tau):
             arr.setflags(write=False)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "dt", grid.dt)
 
     def __setattr__(self, name, value):
         raise AttributeError("Trajectory is immutable")
@@ -176,6 +163,61 @@ class Trajectory:
 
     def __repr__(self) -> str:
         return f"Trajectory(n={len(self)}, dt={self.dt!r}, duration={self.t[-1] - self.t[0]:.3f}s)"
+
+
+def _checked_dt(dt) -> float:
+    """``dt`` as a float; ValueError unless it is finite and positive."""
+    dt = float(dt)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    return dt
+
+
+class _Grid:
+    """The uniform-grid check of :class:`Trajectory`, fed the finite
+    timestamps of a series in order, a piece of any length at a time.
+
+    :meth:`feed` raises what :class:`Trajectory` raises for the series
+    at the first timestamp off its grid, with the same index and detail.
+    ``dt`` is the one given or, once two timestamps are in, the one
+    inferred from them; the last timestamp carries over to the next piece.
+    """
+
+    __slots__ = ("dt", "_n", "_last")
+
+    def __init__(self, dt: float | None = None):
+        self.dt = None if dt is None else _checked_dt(dt)
+        self._n = 0  # timestamps fed so far
+        self._last = 0.0  # the last of them
+
+    def feed(self, t: np.ndarray) -> None:
+        # A step past the float range is inf, and off the grid: no warning.
+        with np.errstate(over="ignore"):
+            n = self._n
+            if self.dt is None and n + t.size > 1:
+                dt = float(t[1] - t[0]) if n == 0 else float(t[0] - self._last)
+                if not dt > 0.0:
+                    raise NonUniformTimestep(1, f"t[1]-t[0]={dt!r} is not positive")
+                self.dt = _checked_dt(dt)
+            # Until dt is known, n is 0 and t holds one timestamp: no step to check.
+            dt = self.dt
+            if n:
+                step = float(t[0] - self._last)
+                if abs(step - dt) > TIMESTEP_TOL:
+                    raise _off_grid(n, step, dt)
+            for i in range(0, t.size - 1, _CHECK_BLOCK):
+                steps = np.diff(t[i : i + _CHECK_BLOCK + 1])
+                off = np.abs(steps - dt)
+                if float(off.max()) > TIMESTEP_TOL:
+                    bad = i + int(np.argmax(off > TIMESTEP_TOL)) + 1
+                    raise _off_grid(n + bad, float(steps[bad - 1 - i]), dt)
+            self._n = n + t.size
+            self._last = float(t[-1])
+
+
+def _off_grid(index: int, step: float, dt: float) -> NonUniformTimestep:
+    """The error for the step into sample ``index``, ``step`` long, off the grid of ``dt``."""
+    return NonUniformTimestep(index, f"t[{index}]-t[{index - 1}]={step!r} vs dt={dt!r}")
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
@@ -208,7 +250,7 @@ def _line_chunks(fh: BinaryIO, size: int) -> Iterator[bytes]:
         yield chunk
 
 
-def _parse_bulk(fh: BinaryIO) -> np.ndarray | None:
+def _parse_bulk(fh: BinaryIO, grid: _Grid | None = None) -> np.ndarray | None:
     """The columns t, alpha, tau of the well-formed log that ``fh`` reads
     from its start, as a (3, n) array; or None to defer.
 
@@ -225,6 +267,12 @@ def _parse_bulk(fh: BinaryIO) -> np.ndarray | None:
     columns only O(:data:`_CHUNK_BYTES`) is held. A log whose header or
     line count changes between the two reads returns None. On return
     ``fh`` may be at any position.
+
+    Given ``grid``, the timestamps are not kept: each chunk's are fed to
+    ``grid`` as it is parsed, and the columns alpha, tau are returned as
+    a (2, n) array. The first error of the grid is raised only once the
+    whole log has parsed as well-formed; a log that is not returns None
+    all the same, so the per-line parser's error comes first.
     """
     header = CSV_HEADER.encode() + b"\n"
     if fh.read(len(header)) != header:
@@ -233,7 +281,9 @@ def _parse_bulk(fh: BinaryIO) -> np.ndarray | None:
     fh.seek(0)
     if n < 2 or fh.read(len(header)) != header:
         return None
-    cols = np.empty((3, n))
+    first = 0 if grid is None else 1  # the first column kept
+    cols = np.empty((3 - first, n))
+    off_grid = None
     row = 0
     with warnings.catch_warnings():
         # older numpy warns, rather than raises, on a cell it cannot parse
@@ -251,9 +301,19 @@ def _parse_bulk(fh: BinaryIO) -> np.ndarray | None:
                 return None
             if values.size != 3 * m or not np.isfinite(values).all():
                 return None
-            cols[:, row : row + m] = values.reshape(m, 3).T
+            rows = values.reshape(m, 3).T
+            if grid is not None and off_grid is None:
+                try:
+                    grid.feed(rows[0])
+                except (NonUniformTimestep, ValueError) as exc:
+                    off_grid = exc
+            cols[:, row : row + m] = rows[first:]
             row += m
-    return cols if row == n else None
+    if row != n:
+        return None
+    if off_grid is not None:
+        raise off_grid
+    return cols
 
 
 def load_trajectory(path) -> Trajectory:
@@ -263,10 +323,11 @@ def load_trajectory(path) -> Trajectory:
     grid invariant is validated for the whole file. The file is opened
     once. A well-formed file is read twice, a chunk at a time: once to
     count its lines, once to parse them straight into its columns. So a
-    load holds 24 bytes per sample plus O(:data:`_CHUNK_BYTES`). Any
-    other file is read whole, from the same handle, by
-    :func:`_load_strict`, the per-line parser, which alone decides what
-    is accepted and which error is raised.
+    load holds 24 bytes per sample plus O(:data:`_CHUNK_BYTES`); a fit
+    of the file holds 16 (see :func:`_load_spring_columns`). Any other
+    file is read whole, from the same handle, by :func:`_load_strict`,
+    the per-line parser, which alone decides what is accepted and which
+    error is raised.
 
     Raises:
         MissingFile: ``path`` is not a regular file.
@@ -285,6 +346,29 @@ def load_trajectory(path) -> Trajectory:
                 fh.seek(0)
                 return _load_strict(path, fh.read())
         return Trajectory(cols[0], cols[1], cols[2])
+    except NonUniformTimestep as exc:
+        raise NonUniformTimestep(exc.index, exc.detail, path) from exc
+
+
+def _load_spring_columns(path) -> tuple[np.ndarray, np.ndarray, float]:
+    """The alpha and tau columns and the dt of :func:`load_trajectory`'s
+    trajectory of ``path``, which is all a spring fit reads of it.
+
+    It raises what :func:`load_trajectory` raises, and it reads the file
+    the same way. The timestamps of a well-formed file are checked against
+    the grid as each chunk is parsed, and not kept: 16 bytes per sample
+    plus O(:data:`_CHUNK_BYTES`) are held.
+    """
+    path = Path(path)
+    try:
+        with open_input(path, MissingFile(path)) as fh:
+            grid = _Grid()
+            cols = _parse_bulk(fh, grid)
+            if cols is None:
+                fh.seek(0)
+                traj = _load_strict(path, fh.read())
+                return traj.alpha, traj.tau, traj.dt
+        return cols[0], cols[1], grid.dt
     except NonUniformTimestep as exc:
         raise NonUniformTimestep(exc.index, exc.detail, path) from exc
 

@@ -495,6 +495,18 @@ class TestWindow:
                 digest.update(line.encode())
         assert digest.hexdigest() == self.WINDOW_PIN
 
+    def test_fit_without_a_push_writes_nothing(self):
+        # With nothing pending, a fit or a snapshot leaves the ring as it
+        # is: a write to the read-only ring would raise.
+        w = WindowState(capacity=4, dt=0.01)
+        for i in range(6):
+            w.push(Sample(i * 0.01, float(i), 3.0 * i + i % 2))
+        first, contents = w.fit(), w.contents()
+        w._alpha.setflags(write=False)
+        w._tau.setflags(write=False)
+        assert w.fit() == first
+        assert w.contents() == contents
+
     def test_push_is_a_snapshot(self):
         # A sample may hold 0-d arrays that its owner reuses; the window
         # keeps the values they had at the push, pending or flushed.

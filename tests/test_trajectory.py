@@ -475,9 +475,10 @@ class TestBulkParser:
         loaded = load_trajectory(path)
         assert loaded == traj and loaded.t.base is loaded.tau.base  # rows of one array
 
-    # Peak traced memory of a load, and of a load and fit: 24 B per sample
-    # of columns and O(_CHUNK_BYTES) of chunk buffers. Nothing grows with
-    # the file: neither its bytes nor a full-size temporary are held.
+    # Peak traced memory of a load, and of a fit: 24 B per sample of
+    # columns for a load, 16 for a fit, which keeps no timestamps, and
+    # O(_CHUNK_BYTES) of chunk buffers. Nothing grows with the file:
+    # neither its bytes nor a full-size temporary are held.
     def test_bulk_load_holds_its_columns_and_a_few_chunks_only(self, tmp_path):
         path, traj = _big_log(tmp_path)
         loaded, peak = _traced_peak(load_trajectory, path)
@@ -488,7 +489,7 @@ class TestBulkParser:
         path, traj = _big_log(tmp_path)
         info, peak = _traced_peak(fit_external, path)
         assert info["n_samples"] == len(traj)
-        assert peak <= 24 * len(traj) + 4 * trajectory._CHUNK_BYTES + 65536, peak
+        assert peak <= 16 * len(traj) + 4 * trajectory._CHUNK_BYTES + 65536, peak
 
     def test_lenient_log_is_read_once(self, tmp_path, monkeypatch):
         path = _write(tmp_path / "crlf.csv", CSV_HEADER + "\r\n0.0,0.1,1.0\r\n0.01,0.2,1.1\r\n")
@@ -566,3 +567,170 @@ class TestBulkParser:
     def test_lenient_inputs_still_load(self, tmp_path, body):
         traj = load_trajectory(_write(tmp_path / "l.csv", CSV_HEADER + "\n" + body))
         assert len(traj) == 2 and traj.dt == 0.01
+
+
+# --- the fit's read: timestamps checked a chunk at a time, not kept ----------------
+
+
+def _fit_outcome(path):
+    """``fit_external(path)``, or the error class and text it raises."""
+    try:
+        return fit_external(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _failure(read, path):
+    """The error class of ``read(path)``, its line or sample index, and its text."""
+    try:
+        read(path)
+    except Exception as exc:
+        return type(exc), getattr(exc, "line_no", getattr(exc, "index", None)), str(exc)
+    raise AssertionError(f"{path} was read without an error")
+
+
+def _chunk_ends(path, chunk):
+    """Data lines of the log at ``path`` read up to the end of each chunk."""
+    ends = [0]
+    body = path.read_bytes()[len(CSV_HEADER) + 1 :]
+    for block in trajectory._line_chunks(io.BytesIO(body), chunk):
+        ends.append(ends[-1] + block.count(b"\n"))
+    return ends[1:]
+
+
+def _grid_log(path, t, bad=None):
+    """A log of timestamps ``t``, its row ``bad`` (from 0) holding an infinite torque."""
+    rows = [f"{x!r},0.5,{0.25 * (i % 7)!r}" for i, x in enumerate(t)]
+    if bad is not None:
+        rows[bad] = rows[bad].rsplit(",", 1)[0] + ",inf"
+    path.write_text(CSV_HEADER + "\n" + "".join(r + "\n" for r in rows))
+    return path
+
+
+def _rows_for(chunk):
+    """Rows enough for the log of :func:`_grid_log` to span several chunks."""
+    return 12_000 if chunk > 64 else 40
+
+
+class TestFitRead:
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @PARITY_SETTINGS
+    @given(data=mutated_logs())
+    def test_same_result_as_per_line_parser(self, tmp_path, monkeypatch, chunk, data):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        bulk = _fit_outcome(path)
+        with monkeypatch.context() as m:
+            m.setattr(trajectory, "_parse_bulk", lambda fh, grid=None: None)
+            assert _fit_outcome(path) == bulk
+
+    def test_saved_file_takes_bulk_path(self, tmp_path, monkeypatch):
+        path, traj = _small_log(tmp_path)
+
+        def refuse(path, data):
+            raise AssertionError("well-formed log went through the per-line parser")
+
+        monkeypatch.setattr(trajectory, "_load_strict", refuse)
+        assert fit_external(path)["n_samples"] == len(traj)
+
+    # The load and the fit raise the same error, with the same line or
+    # index and text, wherever the chunk boundaries fall.
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_malformed_row_after_an_off_grid_step_wins(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
+        n = _rows_for(chunk)
+        t = [0.25 * i for i in range(n)]
+        t[4] += 2.0**-10
+        path = _grid_log(tmp_path / "x.csv", t, bad=n - 1)
+        assert next(e for e in _chunk_ends(path, chunk) if e > 4) < n  # row 4's is not the last
+        expected = (MalformedRow, n + 1, f"{path}:{n + 1}: non-finite value")
+        assert _failure(load_trajectory, path) == expected
+        assert _failure(fit_external, path) == expected
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_off_grid_step_across_a_chunk_boundary(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
+        n = _rows_for(chunk)
+        path = _grid_log(tmp_path / "x.csv", [0.25 * i for i in range(n)])
+        # the first chunk boundary past the step that sets dt
+        bad = next(e for e in _chunk_ends(path, chunk) if e > 1)
+        t = [0.25 * i + (2.0**-10 if i >= bad else 0.0) for i in range(n)]
+        _grid_log(path, t)
+        detail = f"t[{bad}]-t[{bad - 1}]=0.2509765625 vs dt=0.25"
+        expected = (
+            NonUniformTimestep, bad, f"{path}: non-uniform timestep at sample index {bad}: {detail}"
+        )
+        assert _failure(load_trajectory, path) == expected
+        assert _failure(fit_external, path) == expected
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_decreasing_first_step_after_a_one_row_chunk(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
+        # The first row is longer than 64 bytes: a chunk of its own in
+        # small chunks, so dt is inferred across a chunk boundary.
+        big, tiny = "1.2345678901234567e+300", "-1.2345678901234567e-300"
+        path = _write(
+            tmp_path / "x.csv",
+            f"{CSV_HEADER}\n{big},{tiny},{tiny}\n0.5,0.5,0.25\n1.0,0.75,0.5\n",
+        )
+        first = _chunk_ends(path, chunk)[0]
+        assert first == (1 if chunk in SMALL_CHUNKS else 3)
+        detail = f"t[1]-t[0]=-{big} is not positive"
+        expected = (
+            NonUniformTimestep, 1, f"{path}: non-uniform timestep at sample index 1: {detail}"
+        )
+        assert _failure(load_trajectory, path) == expected
+        assert _failure(fit_external, path) == expected
+
+    # A step past the float range is off the grid like any other, and
+    # warns of no overflow, in one chunk or across two.
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_step_past_the_float_range(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
+        path = _grid_log(tmp_path / "x.csv", [0.0, 1e308, -1e308])
+        detail = "t[2]-t[1]=-inf vs dt=1e+308"
+        expected = (
+            NonUniformTimestep, 2, f"{path}: non-uniform timestep at sample index 2: {detail}"
+        )
+        assert _failure(load_trajectory, path) == expected
+        assert _failure(fit_external, path) == expected
+
+
+def _grid_outcome(read_dt):
+    """``read_dt()``, or the grid error class and text it raises."""
+    try:
+        return read_dt()
+    except (NonUniformTimestep, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestGridInPieces:
+    # Fed a series in pieces, the grid check infers dt and raises as the
+    # check of the whole series does: the first steps are shifted into
+    # zero or negative ones, later ones off the grid or within tolerance.
+    @pytest.mark.parametrize("block", [8, trajectory._CHECK_BLOCK])
+    @PARITY_SETTINGS
+    @given(
+        n=st.integers(2, 30),
+        moves=st.lists(
+            st.tuples(st.integers(0, 29), st.sampled_from([-0.5, -0.25, 1e-3, 1e-10])),
+            max_size=2,
+        ),
+        cuts=st.sets(st.integers(1, 29), max_size=6),
+    )
+    def test_same_result_as_the_whole_series(self, monkeypatch, block, n, moves, cuts):
+        monkeypatch.setattr(trajectory, "_CHECK_BLOCK", block)
+        t = np.arange(n) * 0.25
+        for i, shift in moves:
+            t[i % n] += shift
+
+        def in_pieces():
+            grid = trajectory._Grid()
+            for piece in np.split(t, sorted(c for c in cuts if c < n)):
+                grid.feed(piece)
+            return grid.dt
+
+        whole = _grid_outcome(lambda: Trajectory(t, np.zeros(n), np.zeros(n)).dt)
+        assert _grid_outcome(in_pieces) == whole
