@@ -10,13 +10,19 @@ A grid of experiments produces, inside ``out_dir``:
 
     report.csv      label,m,T,A,h0,E0,Ea,mu_star,alpha0_star,ratio
     specs.ini       the resolved experiment list (reusable via --specs)
-    failures.csv    label,error   (only when something failed; a clean
-                    rerun removes an older one)
+    failures.csv    label,error   (only when something failed)
     traces/<label>_no_spring.csv / _with_spring.csv   (only for the rows in
-                    report.csv; a rerun removes the traces of other labels)
+                    report.csv)
 
 All files are written atomically (temp + rename) and byte-deterministic;
 failures.csv is quoted where a message holds a comma or a quote.
+
+report.csv marks a finished run. A run first removes report.csv,
+failures.csv and every file in traces/ named like a trace, then writes
+the traces row by row, then specs.ini, failures.csv and, last,
+report.csv. So a run that stops part way (an exception, Ctrl-C,
+SIGKILL) leaves a directory without a report, which describes no run,
+and never one that mixes two runs.
 
 ``springsim traces`` reads report.csv, specs.ini and the two traces of
 every report row back from such a directory. A report row must hold
@@ -58,7 +64,7 @@ from .svgplot import line_plot
 from .trajectory import (
     SpringParams,
     Trajectory,
-    _load_spring_columns,
+    _read_log,
     load_trajectory,
     save_trajectory,
 )
@@ -244,8 +250,9 @@ def run_grid(
     out_dir,
     model: EnergyModel = EnergyModel(),
 ) -> GridReport:
-    """Run every spec, then write report.csv (+ specs.ini, failures.csv).
+    """Run every spec, then write specs.ini, failures.csv and report.csv.
 
+    The files of an earlier run go first, as the module docstring says.
     A spec that fails with a :class:`SpringSimError` or ``ValueError`` is
     recorded (label, error string) and does not stop the remaining rows;
     any other exception is a bug and propagates. Rerunning into the same
@@ -254,8 +261,8 @@ def run_grid(
     Raises:
         EmptySpecList: Empty spec list.
         ValueError: Duplicate labels.
-        IoFailure: out_dir or its traces/ could not be created, or a stale
-            failures.csv or trace could not be removed.
+        IoFailure: out_dir or its traces/ could not be created, or an
+            earlier run's file could not be removed.
     """
     if not specs:
         raise EmptySpecList("spec list is empty")
@@ -263,7 +270,12 @@ def run_grid(
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate labels in spec list: {labels}")
     out_dir = Path(out_dir)
+    report_path = out_dir / "report.csv"
+    failures_path = out_dir / "failures.csv"
     make_dir(out_dir / TRACES_SUBDIR)
+    remove_file(report_path)
+    remove_file(failures_path)
+    _remove_traces(out_dir / TRACES_SUBDIR)
 
     results: list[ExperimentResult] = []
     failures: list[tuple[str, str]] = []
@@ -292,36 +304,24 @@ def run_grid(
                 ]
             )
         )
-    report_path = out_dir / "report.csv"
-    atomic_write(report_path, "\n".join(lines) + "\n")
     save_specs_file(specs, out_dir / SPECS_FILENAME)
-    failures_path = out_dir / "failures.csv"
     if failures:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([("label", "error"), *failures])
         atomic_write(failures_path, buf.getvalue())
-    else:
-        remove_file(failures_path)  # left by an earlier, failed run
-    _remove_stale_traces(out_dir / TRACES_SUBDIR, results)
+    atomic_write(report_path, "\n".join(lines) + "\n")
     return GridReport(results=results, failures=failures, report_path=report_path)
 
 
-def _remove_stale_traces(traces_dir: Path, results: list[ExperimentResult]) -> None:
-    """Delete every trace file in traces_dir that no row of ``results`` wrote.
-
-    Only files named like a trace are candidates, so traces of labels
-    dropped from the spec list, or of rows that failed this time, go and
-    everything else stays.
+def _remove_traces(traces_dir: Path) -> None:
+    """Delete every file in traces_dir named like a trace; everything else stays.
 
     Raises:
         IoFailure: traces_dir could not be listed or a file removed.
     """
-    keep = {p.name for r in results for p in (r.trace_no_spring, r.trace_with_spring)}
     try:
         stale = [
-            p
-            for p in traces_dir.iterdir()
-            if _TRACE_NAME_RE.fullmatch(p.name) and p.name not in keep and p.is_file()
+            p for p in traces_dir.iterdir() if _TRACE_NAME_RE.fullmatch(p.name) and p.is_file()
         ]
     except OSError as exc:
         raise IoFailure(traces_dir, exc) from exc
@@ -452,12 +452,13 @@ def fit_external(log_path, model: EnergyModel = EnergyModel()) -> dict:
 
     The numbers are those of :func:`fit_optimal` and :func:`energy` on
     :func:`load_trajectory` of the log, and the errors are those of the
-    load. Only the angle and torque columns are kept, so a well-formed
-    log takes 16 bytes per sample plus O(128 KiB), where a load takes 24.
-    Fit and load errors name the log; a log whose motor energy is not
-    finite is a DegenerateTrajectory.
+    load: both read it through the one log reader, which keeps only the
+    angle and torque columns here, so a well-formed log takes 16 bytes
+    per sample plus O(128 KiB), where a load takes 24. Fit and load
+    errors name the log; a log whose motor energy is not finite is a
+    DegenerateTrajectory.
     """
-    alpha, tau, dt = _load_spring_columns(log_path)
+    (alpha, tau), dt = _read_log(log_path, keep_t=False)
     try:
         diag = _fit_arrays(alpha, tau, dt, model.k_motor)
     except DegenerateTrajectory as exc:

@@ -44,8 +44,8 @@ CSV_HEADER = "t,alpha_rad,tau_Nm"
 #: Maximum tolerated deviation of a timestamp from the uniform grid [s].
 TIMESTEP_TOL = 1e-9
 
-#: Elements of ``t`` that the grid check works on at a time, so that its
-#: temporaries do not grow with the log.
+#: Elements of ``t`` that :class:`Trajectory` feeds its grid check at a
+#: time, so that the check's temporaries do not grow with the series.
 _CHECK_BLOCK = 8192
 
 
@@ -133,7 +133,8 @@ class Trajectory:
         if dt is None and t.size < 2:
             raise ValueError("dt must be given explicitly for a 1-sample trajectory")
         grid = _Grid(dt)
-        grid.feed(t)
+        for i in range(0, t.size, _CHECK_BLOCK):
+            grid.feed(t[i : i + _CHECK_BLOCK])
         for arr in (t, alpha, tau):
             arr.setflags(write=False)
         object.__setattr__(self, "t", t)
@@ -165,14 +166,6 @@ class Trajectory:
         return f"Trajectory(n={len(self)}, dt={self.dt!r}, duration={self.t[-1] - self.t[0]:.3f}s)"
 
 
-def _checked_dt(dt) -> float:
-    """``dt`` as a float; ValueError unless it is finite and positive."""
-    dt = float(dt)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    return dt
-
-
 class _Grid:
     """The uniform-grid check of :class:`Trajectory`, fed the finite
     timestamps of a series in order, a piece of any length at a time.
@@ -181,12 +174,17 @@ class _Grid:
     at the first timestamp off its grid, with the same index and detail.
     ``dt`` is the one given or, once two timestamps are in, the one
     inferred from them; the last timestamp carries over to the next piece.
+
+    Raises:
+        ValueError: ``dt`` is given and is not finite and positive.
     """
 
     __slots__ = ("dt", "_n", "_last")
 
     def __init__(self, dt: float | None = None):
-        self.dt = None if dt is None else _checked_dt(dt)
+        self.dt = None if dt is None else float(dt)
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive, got {self.dt!r}")
         self._n = 0  # timestamps fed so far
         self._last = 0.0  # the last of them
 
@@ -196,21 +194,21 @@ class _Grid:
             n = self._n
             if self.dt is None and n + t.size > 1:
                 dt = float(t[1] - t[0]) if n == 0 else float(t[0] - self._last)
-                if not dt > 0.0:
-                    raise NonUniformTimestep(1, f"t[1]-t[0]={dt!r} is not positive")
-                self.dt = _checked_dt(dt)
+                if not 0.0 < dt < math.inf:
+                    why = "is not positive" if dt <= 0.0 else "is past the float range"
+                    raise NonUniformTimestep(1, f"t[1]-t[0]={dt!r} {why}")
+                self.dt = dt
             # Until dt is known, n is 0 and t holds one timestamp: no step to check.
             dt = self.dt
             if n:
                 step = float(t[0] - self._last)
                 if abs(step - dt) > TIMESTEP_TOL:
                     raise _off_grid(n, step, dt)
-            for i in range(0, t.size - 1, _CHECK_BLOCK):
-                steps = np.diff(t[i : i + _CHECK_BLOCK + 1])
-                off = np.abs(steps - dt)
+            if t.size > 1:
+                off = np.abs(np.diff(t) - dt)
                 if float(off.max()) > TIMESTEP_TOL:
-                    bad = i + int(np.argmax(off > TIMESTEP_TOL)) + 1
-                    raise _off_grid(n + bad, float(steps[bad - 1 - i]), dt)
+                    bad = int(np.argmax(off > TIMESTEP_TOL)) + 1
+                    raise _off_grid(n + bad, float(t[bad] - t[bad - 1]), dt)
             self._n = n + t.size
             self._last = float(t[-1])
 
@@ -250,9 +248,10 @@ def _line_chunks(fh: BinaryIO, size: int) -> Iterator[bytes]:
         yield chunk
 
 
-def _parse_bulk(fh: BinaryIO, grid: _Grid | None = None) -> np.ndarray | None:
-    """The columns t, alpha, tau of the well-formed log that ``fh`` reads
-    from its start, as a (3, n) array; or None to defer.
+def _parse_bulk(fh: BinaryIO, grid: _Grid, keep_t: bool) -> np.ndarray | None:
+    """The columns of the well-formed log that ``fh`` reads from its
+    start: t, alpha, tau as a (3, n) array, or alpha, tau as a (2, n)
+    array unless ``keep_t``; or None to defer.
 
     Well-formed: the exact header line, then at least two lines that
     each hold three finite numbers made of :data:`_NUMBER_BYTES` only,
@@ -268,11 +267,10 @@ def _parse_bulk(fh: BinaryIO, grid: _Grid | None = None) -> np.ndarray | None:
     line count changes between the two reads returns None. On return
     ``fh`` may be at any position.
 
-    Given ``grid``, the timestamps are not kept: each chunk's are fed to
-    ``grid`` as it is parsed, and the columns alpha, tau are returned as
-    a (2, n) array. The first error of the grid is raised only once the
-    whole log has parsed as well-formed; a log that is not returns None
-    all the same, so the per-line parser's error comes first.
+    Each chunk's timestamps are fed to ``grid`` as it is parsed. The
+    first error of the grid is raised only once the whole log has parsed
+    as well-formed; a log that is not returns None all the same, so the
+    per-line parser's error comes first.
     """
     header = CSV_HEADER.encode() + b"\n"
     if fh.read(len(header)) != header:
@@ -281,7 +279,7 @@ def _parse_bulk(fh: BinaryIO, grid: _Grid | None = None) -> np.ndarray | None:
     fh.seek(0)
     if n < 2 or fh.read(len(header)) != header:
         return None
-    first = 0 if grid is None else 1  # the first column kept
+    first = 0 if keep_t else 1  # the first column kept
     cols = np.empty((3 - first, n))
     off_grid = None
     row = 0
@@ -302,10 +300,10 @@ def _parse_bulk(fh: BinaryIO, grid: _Grid | None = None) -> np.ndarray | None:
             if values.size != 3 * m or not np.isfinite(values).all():
                 return None
             rows = values.reshape(m, 3).T
-            if grid is not None and off_grid is None:
+            if off_grid is None:
                 try:
                     grid.feed(rows[0])
-                except (NonUniformTimestep, ValueError) as exc:
+                except NonUniformTimestep as exc:
                     off_grid = exc
             cols[:, row : row + m] = rows[first:]
             row += m
@@ -320,14 +318,9 @@ def load_trajectory(path) -> Trajectory:
     """Read a trajectory CSV written by :func:`save_trajectory`.
 
     ``dt`` is inferred from the first two timestamps, then the uniform
-    grid invariant is validated for the whole file. The file is opened
-    once. A well-formed file is read twice, a chunk at a time: once to
-    count its lines, once to parse them straight into its columns. So a
-    load holds 24 bytes per sample plus O(:data:`_CHUNK_BYTES`); a fit
-    of the file holds 16 (see :func:`_load_spring_columns`). Any other
-    file is read whole, from the same handle, by :func:`_load_strict`,
-    the per-line parser, which alone decides what is accepted and which
-    error is raised.
+    grid invariant is validated for the whole file. The file is read as
+    :func:`_read_log` reads it, so a well-formed file takes 24 bytes per
+    sample plus O(:data:`_CHUNK_BYTES`).
 
     Raises:
         MissingFile: ``path`` is not a regular file.
@@ -338,43 +331,43 @@ def load_trajectory(path) -> Trajectory:
         NonUniformTimestep: Grid invariant violated (carries the sample
             index of the first offending step, and names ``path``).
     """
-    path = Path(path)
-    try:
-        with open_input(path, MissingFile(path)) as fh:
-            cols = _parse_bulk(fh)
-            if cols is None:
-                fh.seek(0)
-                return _load_strict(path, fh.read())
-        return Trajectory(cols[0], cols[1], cols[2])
-    except NonUniformTimestep as exc:
-        raise NonUniformTimestep(exc.index, exc.detail, path) from exc
+    cols, _ = _read_log(path, keep_t=True)
+    return Trajectory(*cols)
 
 
-def _load_spring_columns(path) -> tuple[np.ndarray, np.ndarray, float]:
-    """The alpha and tau columns and the dt of :func:`load_trajectory`'s
-    trajectory of ``path``, which is all a spring fit reads of it.
+def _read_log(path, keep_t: bool) -> tuple[np.ndarray, float]:
+    """The columns t, alpha, tau of the log at ``path`` as a (3, n) array,
+    or alpha, tau as a (2, n) array unless ``keep_t``, and its dt.
 
-    It raises what :func:`load_trajectory` raises, and it reads the file
-    the same way. The timestamps of a well-formed file are checked against
-    the grid as each chunk is parsed, and not kept: 16 bytes per sample
-    plus O(:data:`_CHUNK_BYTES`) are held.
+    The one reader of a log: it raises what :func:`load_trajectory`
+    raises. The file is opened once. A well-formed file is read twice, a
+    chunk at a time, by :func:`_parse_bulk`: once to count its lines,
+    once to parse them straight into the columns while their timestamps
+    are checked against the grid. So beside the columns, 16 or 24 bytes
+    per sample, only O(:data:`_CHUNK_BYTES`) is held. Any other file is
+    read whole, from the same handle, by :func:`_load_strict`, the
+    per-line parser, which alone decides what is accepted and which
+    error is raised, and its timestamps are checked by the same grid.
     """
     path = Path(path)
     try:
         with open_input(path, MissingFile(path)) as fh:
             grid = _Grid()
-            cols = _parse_bulk(fh, grid)
+            cols = _parse_bulk(fh, grid, keep_t)
             if cols is None:
                 fh.seek(0)
-                traj = _load_strict(path, fh.read())
-                return traj.alpha, traj.tau, traj.dt
-        return cols[0], cols[1], grid.dt
+                cols = _load_strict(path, fh.read())
+                grid = _Grid()  # the bulk pass may have fed it part of the log
+                grid.feed(cols[0])
+                cols = cols if keep_t else cols[1:]
     except NonUniformTimestep as exc:
         raise NonUniformTimestep(exc.index, exc.detail, path) from exc
+    return cols, grid.dt
 
 
-def _load_strict(path, data: bytes) -> Trajectory:
-    """Per-line parser of ``path``'s bytes: the specification of :func:`load_trajectory`."""
+def _load_strict(path, data: bytes) -> np.ndarray:
+    """Per-line parser of ``path``'s bytes, the specification of
+    :func:`_read_log`: the columns t, alpha, tau as a (3, n) array."""
     # A byte that is not UTF-8 decodes to a lone surrogate, which no
     # number or header matches: its line is reported as malformed.
     lines = data.decode("utf-8", "surrogateescape").splitlines()
@@ -403,4 +396,4 @@ def _load_strict(path, data: bytes) -> Trajectory:
         raise EmptyFile(path)
     if len(t) < 2:
         raise EmptyFile(path, "fewer than 2 data rows (dt cannot be inferred)")
-    return Trajectory(t, alpha, tau)
+    return np.array([t, alpha, tau])

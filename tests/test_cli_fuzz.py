@@ -80,7 +80,7 @@ REPORT_LINES = [
 ]
 LOG_LINES = [
     b"t,alpha_rad,tau_Nm", b"0.0,0.1,1.0", b"0.01,0.2", b"0.02,0.3,2.0,9", b"",
-    b"1e300,1e300,1e300", b"-0.01,0.1,1.0", b"\r",
+    b"1e300,1e300,1e300", b"-0.01,0.1,1.0", b"\r", b"-1e308,0.1,1.0", b"1e308,0.2,1.1",
 ]
 FLAGS = [
     "run", "grid", "fit", "traces", "--config", "--specs", "--out", "--table", "paper",
@@ -155,6 +155,8 @@ def base_result(tmp_path_factory):
 # rejects it) and a logged angle of 1e300, whose square overflowed in the
 # fit. A logged torque of 1e200 printed numpy overflow warnings before
 # the fit's output. A mass of 5e-324 kg made the kernel divide by zero.
+# A first step from -1e308 to 1e308 infers a dt past the float range,
+# which ended in a ValueError.
 @example(template=TEMPLATES[0], flag_edits=[], ini_edits=[("field", 1, 1, b"%(x)s")],
          report_edits=[], log_edits=[])
 @example(template=TEMPLATES[1], flag_edits=[], ini_edits=[("field", 4, 1, b"%")],
@@ -175,6 +177,8 @@ def base_result(tmp_path_factory):
          report_edits=[], log_edits=[])
 @example(template=TEMPLATES[1], flag_edits=[], ini_edits=[("field", 4, 1, b"5e-324")],
          report_edits=[], log_edits=[])
+@example(template=TEMPLATES[2], flag_edits=[], ini_edits=[], report_edits=[],
+         log_edits=[("insert", 1, 9, b""), ("insert", 1, 8, b"")])
 @pytest.mark.filterwarnings("error")  # a warning is stderr noise: fail on it
 @settings(max_examples=150, deadline=None, database=None)
 @given(

@@ -1,11 +1,14 @@
 """Two-phase experiments, grid reports, traces, external fits, CLI."""
 
 import csv
+import dataclasses
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +311,80 @@ class TestRunGrid:
         monkeypatch.setattr(type(out), "unlink", refuse_traces)
         with pytest.raises(IoFailure, match="old_with_spring.csv"):
             run_grid([spec], out, MODEL)
+
+    # A run that stops part way leaves no report.csv, so `traces` finds no
+    # run, rather than the earlier run's report over this run's traces.
+
+    @staticmethod
+    def _two_rows(mass):
+        return [
+            ExperimentSpec(label, mass=mass, t_period=1.88, amplitude=0.05, h0=0.2,
+                           overrides={"duration": 2.0})
+            for label in ("a", "b")
+        ]
+
+    @staticmethod
+    def _assert_no_run(out, tmp_path, capsys):
+        capsys.readouterr()
+        assert cli_main(["traces", str(out), "--out", str(tmp_path / "plots")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"springsim traces: error: grid report not found: {out / 'report.csv'}\n"
+
+    @pytest.mark.parametrize("stop_at", ["a", "b"])
+    def test_interrupted_rerun_leaves_no_report(self, tmp_path, monkeypatch, capsys, stop_at):
+        out = tmp_path / "g"
+        assert run_grid(self._two_rows(4.1), out, MODEL).ok
+        real = harness.run_experiment
+
+        def stop(spec, out_dir, model):
+            if spec.label == stop_at:
+                raise KeyboardInterrupt
+            return real(spec, out_dir, model)
+
+        monkeypatch.setattr(harness, "run_experiment", stop)
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(self._two_rows(8.1), out, MODEL)
+        self._assert_no_run(out, tmp_path, capsys)
+        traces = sorted(p.name for p in (out / "traces").iterdir())
+        assert traces == ([] if stop_at == "a" else ["a_no_spring.csv", "a_with_spring.csv"])
+
+    def test_grid_killed_after_its_first_trace_leaves_no_report(self, tmp_path, capsys):
+        out, specs = tmp_path / "g", tmp_path / "specs.ini"
+        save_specs_file(self._two_rows(4.1), specs)
+        assert cli_main(["grid", "--specs", str(specs), "--out", str(out)]) == 0
+        save_specs_file(self._two_rows(8.1), specs)
+        # The child's row b waits, so that the kill falls between its
+        # first traces and its report.
+        code = (
+            "import sys, time\n"
+            "from springsim import harness\n"
+            "from springsim.cli import main\n"
+            "real = harness.run_experiment\n"
+            "def wait_at_b(spec, *args):\n"
+            "    if spec.label == 'b':\n"
+            "        time.sleep(60)\n"
+            "    return real(spec, *args)\n"
+            "harness.run_experiment = wait_at_b\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(springsim.__file__).parents[1]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", code, "grid", "--specs", str(specs), "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            # the old report goes before the first trace is written
+            first = out / "traces" / "a_with_spring.csv"
+            while (out / "report.csv").exists() or not first.exists():
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            child.send_signal(signal.SIGKILL)
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+        assert child.returncode == -signal.SIGKILL
+        self._assert_no_run(out, tmp_path, capsys)
 
     def test_empty_spec_list_rejected(self, tmp_path):
         with pytest.raises(EmptySpecList):

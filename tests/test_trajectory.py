@@ -393,9 +393,25 @@ def _outcome(load, path):
     return traj.dt, traj.t.tobytes(), traj.alpha.tobytes(), traj.tau.tobytes()
 
 
-def _assert_parity(path):
-    strict = _outcome(lambda p: trajectory._load_strict(p, p.read_bytes()), path)
-    assert _outcome(load_trajectory, path) == strict
+def _fit_outcome(path):
+    """``fit_external(path)``, or the error class and text it raises."""
+    try:
+        return fit_external(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _load_and_fit_outcome(path):
+    return _outcome(load_trajectory, path), _fit_outcome(path)
+
+
+def _assert_parity(path, outcome=_load_and_fit_outcome):
+    """``outcome(path)`` is what it is through the per-line parser alone;
+    by default the outcome of both the load and the fit of ``path``."""
+    bulk = outcome(path)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(trajectory, "_parse_bulk", lambda fh, grid, keep_t: None)
+        assert outcome(path) == bulk
 
 
 #: Chunk sizes for the bulk parser besides the default, which holds a
@@ -433,7 +449,7 @@ class TestBulkParser:
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
         path = tmp_path / "log.csv"
         path.write_bytes(data)
-        _assert_parity(path)
+        _assert_parity(path, lambda p: _outcome(load_trajectory, p))
 
     @pytest.mark.parametrize("cell", ODD_CELLS + [f"1.5{c}" for c in ODD_CHARS])
     @pytest.mark.parametrize("col", [0, 2])
@@ -469,7 +485,7 @@ class TestBulkParser:
         save_trajectory(traj, path)
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
         with open(path, "rb") as fh:
-            cols = trajectory._parse_bulk(fh)
+            cols = trajectory._parse_bulk(fh, trajectory._Grid(), keep_t=True)
         assert cols is not None and cols.flags.c_contiguous
         assert cols.tobytes() == np.stack([traj.t, traj.alpha, traj.tau]).tobytes()
         loaded = load_trajectory(path)
@@ -572,14 +588,6 @@ class TestBulkParser:
 # --- the fit's read: timestamps checked a chunk at a time, not kept ----------------
 
 
-def _fit_outcome(path):
-    """``fit_external(path)``, or the error class and text it raises."""
-    try:
-        return fit_external(path)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 def _failure(read, path):
     """The error class of ``read(path)``, its line or sample index, and its text."""
     try:
@@ -620,10 +628,7 @@ class TestFitRead:
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
         path = tmp_path / "log.csv"
         path.write_bytes(data)
-        bulk = _fit_outcome(path)
-        with monkeypatch.context() as m:
-            m.setattr(trajectory, "_parse_bulk", lambda fh, grid=None: None)
-            assert _fit_outcome(path) == bulk
+        _assert_parity(path, _fit_outcome)
 
     def test_saved_file_takes_bulk_path(self, tmp_path, monkeypatch):
         path, traj = _small_log(tmp_path)
@@ -697,12 +702,30 @@ class TestFitRead:
         assert _failure(load_trajectory, path) == expected
         assert _failure(fit_external, path) == expected
 
+    # A first step past the float range infers no dt: it is off the grid at
+    # index 1, for the bulk parser (LF) and the per-line parser (CRLF).
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_first_step_past_the_float_range_exit_one(
+        self, tmp_path, monkeypatch, capsys, chunk, end
+    ):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
+        lines = [CSV_HEADER, "-1.5e+308,0.5,0.25", "1.5e+308,0.75,0.5"]
+        path = _write(tmp_path / "x.csv", end.join(lines) + end)
+        detail = "t[1]-t[0]=inf is past the float range"
+        message = f"{path}: non-uniform timestep at sample index 1: {detail}"
+        assert _failure(load_trajectory, path) == (NonUniformTimestep, 1, message)
+        assert cli_main(["fit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"springsim fit: error: {message}\n"
+
 
 def _grid_outcome(read_dt):
     """``read_dt()``, or the grid error class and text it raises."""
     try:
         return read_dt()
-    except (NonUniformTimestep, ValueError) as exc:
+    except NonUniformTimestep as exc:
         return type(exc), str(exc)
 
 
