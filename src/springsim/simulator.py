@@ -383,8 +383,10 @@ def run(cfg: SimConfig) -> Trajectory:
             # step()'s two checks in one, exactly: theta = theta + dt*dtheta is
             # inf or NaN whenever dtheta is, and then fails this compare too.
             if not 0.0 < theta < pi:
+                # step()'s time: the last substep of a tick ends on the next tick
+                t_fail = (k + 1) * ctrl_period if j + 1 == n_sub else t_k + (j + 1) * dt
                 if not (isfinite(theta) and isfinite(dtheta)):
-                    raise NonFiniteState(t_k + (j + 1) * dt)
-                raise SingularConfiguration(theta, t_k + (j + 1) * dt)
+                    raise NonFiniteState(t_fail)
+                raise SingularConfiguration(theta, t_fail)
     t = np.arange(n_ticks, dtype=np.float64) * ctrl_period
     return Trajectory(t, theta_log, tau_log, dt=ctrl_period)

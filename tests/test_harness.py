@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import os
 import shutil
@@ -27,6 +28,7 @@ from springsim import (
     MissingTrace,
     SimConfig,
     SingularConfiguration,
+    SpringParams,
     Trajectory,
     export_traces_from_dir,
     fit_external,
@@ -681,10 +683,103 @@ class TestConfigFiles:
             with pytest.raises(ConfigError, match="no section headers"):
                 harness._read_ini(p)
             return
-        parser = harness._read_ini(p)
-        assert {n: dict(parser[n]) for n in parser.sections()} == {
-            "springsim": {"schema": "1"}, **sections
-        }
+        assert harness._read_ini(p) == {"springsim": {"schema": "1"}, **sections}
+
+    def test_keys_read_lower_cased(self, tmp_path):
+        p = tmp_path / "upper.ini"
+        text = (
+            "[springsim]\nSCHEMA = 1\n\n[run]\nMASS = 4.1\nT_Period = 1.88\n"
+            "amplitude = 0.05\nh0 = 0.2\nKP = 350\n"
+        )
+        p.write_text(text)
+        assert load_specs_file(p) == [
+            ExperimentSpec("run", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.2,
+                           overrides={"kp": 350.0})
+        ]
+        p.write_text(text + "Spring_Mu = 5.0\nspring_alpha0 = 2.8\n")
+        cfg = load_run_config(p)
+        assert (cfg.geom.mass, cfg.t_period, cfg.controller.kp) == (4.1, 1.88, 350.0)
+        assert cfg.spring == SpringParams(5.0, 2.8)
+
+    def test_keys_that_differ_in_case_are_one_key_set_twice(self, tmp_path):
+        p = tmp_path / "case.ini"
+        p.write_text("[springsim]\nschema = 1\n\n[a]\nmass = 4.1\nMass = 8.1\n")
+        with pytest.raises(ConfigError) as exc:
+            load_specs_file(p)
+        assert str(exc.value) == f"{p}:6: option 'mass' in section 'a' already exists"
+
+    def test_rows_and_keys_keep_file_order(self, tmp_path):
+        p = tmp_path / "order.ini"
+        motion = "mass = 4.1\nt_period = 1.88\namplitude = 0.05\nh0 = 0.2\n"
+        p.write_text(
+            f"[z]\nkp = 350\n{motion}duration = 1.0\n\n[springsim]\nschema = 1\n\n"
+            f"[a]\n{motion}duration = 1.0\nkp = 350\n\n[m]\n{motion}"
+        )
+        specs = load_specs_file(p)
+        assert [s.label for s in specs] == ["z", "a", "m"]
+        assert [list(s.overrides) for s in specs] == [["kp", "duration"], ["duration", "kp"], []]
+
+    def test_run_config_names_its_first_unknown_section(self, tmp_path):
+        p = tmp_path / "run.ini"
+        p.write_text(
+            "[springsim]\nschema = 1\n\n[run]\nmass = 4.1\nt_period = 1.88\n"
+            "amplitude = 0.05\nh0 = 0.2\n\n[b]\n\n[a]\n"
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_run_config(p)
+        assert str(exc.value) == (
+            f"{p}: unknown section [b] (expected [springsim] and [run])"
+        )
+
+    # The keys once went through a set, so which one was named depended on
+    # the interpreter's hash seed.
+    def test_run_config_names_its_first_unknown_key(self, tmp_path):
+        p = tmp_path / "run.ini"
+        p.write_text(
+            "[springsim]\nschema = 1\n\n[run]\nmass = 4.1\nt_period = 1.88\n"
+            "amplitude = 0.05\nh0 = 0.2\nspring_mu = 5.0\nwheels = 4\nspring_alpha0 = 2.8\n"
+            "axles = 2\n"
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_run_config(p)
+        assert str(exc.value) == "[run]: unknown key 'wheels'"
+
+    # configparser gives each section a proxy that binds a partial of its own
+    # get() per converter, and the parser and its proxies point at each
+    # other: garbage that only a full collection frees, growing with the file.
+    @staticmethod
+    def _garbage_left_by(load, path) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            load(path)
+        finally:
+            found = gc.collect()
+            gc.enable()
+        return found
+
+    def test_specs_read_leaves_a_constant_few_objects_for_the_collector(self, tmp_path):
+        found = []
+        for n in (2, 200):
+            path = tmp_path / f"{n}.ini"
+            save_specs_file(
+                [ExperimentSpec(f"r{i}", mass=4.1, t_period=1.88, amplitude=0.05, h0=0.2,
+                                overrides={"kp": 350.0}) for i in range(n)],
+                path,
+            )
+            found.append(self._garbage_left_by(load_specs_file, path))
+        assert found[0] == found[1] <= 10
+
+    def test_run_config_read_leaves_a_constant_few_objects_for_the_collector(self, tmp_path):
+        found = []
+        for extra in ("", "kp = 350\nduration = 2.0\nspring_mu = 5.0\nspring_alpha0 = 2.8\n"):
+            path = tmp_path / "run.ini"
+            path.write_text(
+                "[springsim]\nschema = 1\n\n[run]\nmass = 4.1\nt_period = 1.88\n"
+                f"amplitude = 0.05\nh0 = 0.2\n{extra}"
+            )
+            found.append(self._garbage_left_by(load_run_config, path))
+        assert found[0] == found[1] <= 10
 
 
 class TestCli:

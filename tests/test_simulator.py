@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, reject, settings
+from hypothesis import strategies as st
 
 from springsim import (
     ControllerConfig,
@@ -232,101 +234,162 @@ class TestStaticsAndOracles:
             run(base_cfg(torque_limit=5.0))
 
 
+# Each case reaches one branch of the kernel. These runs succeed (at a
+# 0.5 s default duration)...
+STEP_CASES = {
+    "plain": {},
+    "spring": {"spring": SpringParams(5.0, 2.8)},
+    "torque_limit": {"torque_limit": 11.5},
+    "substeps_50hz": {
+        "controller": ControllerConfig(kp=300.0, kd=1.0, control_rate=50.0),
+        "physics_dt": 3e-3,  # 7 substeps of 1/350 s
+    },
+    "paper_literal": {"sine_convention": "paper-literal", "t_period": 0.3},
+    # the spring term is taken after the clamp, on both of its sides
+    "spring_and_limit": {
+        "spring": SpringParams(20.0, 2.0),
+        "torque_limit": 2.0,
+        "t_period": 0.5,
+        "duration": 1.0,
+    },
+    "one_substep": {"physics_dt": 0.01},  # one substep a tick at 100 Hz
+}
+# ...and these fail.
+FAILURE_CASES = {
+    "limit_5Nm": {"torque_limit": 5.0},  # collapses at t = 0.301 s
+    "weak_kp": {"controller": ControllerConfig(kp=1e-3, kd=0.0, control_rate=100.0)},
+    "limit_2Nm_dt_5e-4": {"torque_limit": 2.0, "physics_dt": 5e-4, "duration": 0.5},
+    # a subnormal mass overflows the acceleration: NonFiniteState
+    "nonfinite": {"geom": LegGeometry(link_len=0.28, mass=1e-310, g=9.81), "duration": 0.5},
+    # the cases that leave (0, pi) upward: theta = 3.1798 at t = 0.025 s,
+    # and on the last substep of a run, where no Jacobian check follows
+    "overextends": {"spring": SpringParams(300.0, 3.1), "torque_limit": 5.0},
+    "overextends_last_substep": {
+        "spring": SpringParams(1000.0, 3.1),
+        "torque_limit": 5.0,
+        "physics_dt": 0.01,
+        "duration": 0.01,
+    },
+}
+
+#: Most substeps a drawn config may take, so that a step()-by-step replay
+#: of one example stays within a few milliseconds.
+STEP_BUDGET = 2000
+
+
+@st.composite
+def sim_configs(draw):
+    """Any SimConfig within STEP_BUDGET substeps: gains, mass, geometry,
+    spring, torque limit, physics_dt and sine convention all drawn."""
+    link_len = draw(st.floats(0.05, 2.0))
+    two_l = 2.0 * link_len
+    h0 = two_l * draw(st.floats(0.01, 0.99))
+    rate = draw(st.floats(10.0, 200.0))
+    try:
+        cfg = SimConfig(
+            # down to the subnormal masses whose acceleration overflows
+            geom=LegGeometry(
+                link_len=link_len,
+                mass=draw(st.one_of(st.floats(1e-2, 100.0), st.floats(2.5e-312, 1e-300))),
+                g=draw(st.floats(0.1, 30.0)),
+            ),
+            controller=ControllerConfig(
+                kp=draw(st.floats(1e-3, 1e4)), kd=draw(st.floats(0.0, 50.0)), control_rate=rate
+            ),
+            h0=h0,
+            amplitude=min(h0, two_l - h0) * draw(st.floats(0.0, 0.99)),
+            t_period=draw(st.floats(0.05, 5.0)),
+            sine_convention=draw(st.sampled_from(["period", "paper-literal"])),
+            duration=draw(st.floats(0.001, 1.0)),
+            physics_dt=1.0 / rate / draw(st.floats(1.0, 12.0)),
+            spring=draw(st.none() | st.builds(SpringParams, st.floats(0.0, 1e3), st.floats(-1.0, 5.0))),
+            torque_limit=draw(st.none() | st.floats(1e-2, 100.0)),
+        )
+    except ValueError:
+        reject()
+    assume(cfg.n_ticks * cfg.n_substeps <= STEP_BUDGET)
+    return cfg
+
+
+def _replay_agrees_with_run(cfg):
+    """Check run(cfg) against iterated step() calls; return run's result.
+
+    Either both give the same log bit for bit, or both raise the same
+    SimulationError class at the same theta and t; run's error is then
+    returned. Any other exception propagates.
+    """
+    try:
+        outcome = run(cfg)
+    except SimulationError as exc:
+        outcome = exc
+    state = initial_state(cfg)
+    logged_theta, logged_tau = [], []
+    try:
+        for k in range(cfg.n_ticks):
+            assert (state.tick_index, state.substep_index) == (k, 0)
+            logged_theta.append(state.theta)
+            state = step(state, cfg)
+            # torque logged by run == fresh PD output of the tick's first substep
+            logged_tau.append(-state.last_motor_torque)
+            for _ in range(cfg.n_substeps - 1):
+                state = step(state, cfg)
+    except SimulationError as exc:
+        assert type(exc) is type(outcome)
+        assert exc.t == outcome.t
+        assert getattr(exc, "theta", None) == getattr(outcome, "theta", None)
+        return outcome
+    assert not isinstance(outcome, SimulationError), outcome
+    np.testing.assert_array_equal(np.array(logged_theta), outcome.alpha)
+    np.testing.assert_array_equal(np.array(logged_tau), outcome.tau)
+    return outcome
+
+
+def _with_examples(test):
+    for kw in STEP_CASES.values():
+        test = example(cfg=base_cfg(**{"duration": 0.5, **kw}))(test)
+    for kw in FAILURE_CASES.values():
+        test = example(cfg=base_cfg(**kw))(test)
+    return test
+
+
 class TestStep:
-    # step() is the specification of the kernel behind run(): each case
-    # exercises one of the kernel's branches and must agree bit for bit.
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {},
-            {"spring": SpringParams(5.0, 2.8)},
-            {"torque_limit": 11.5},
-            {
-                "controller": ControllerConfig(kp=300.0, kd=1.0, control_rate=50.0),
-                "physics_dt": 3e-3,  # 7 substeps of 1/350 s
-            },
-            {"sine_convention": "paper-literal", "t_period": 0.3},
-            # the spring term is taken after the clamp, on both of its sides
-            {
-                "spring": SpringParams(20.0, 2.0),
-                "torque_limit": 2.0,
-                "t_period": 0.5,
-                "duration": 1.0,
-            },
-            {"physics_dt": 0.01},  # one substep a tick at 100 Hz
-        ],
-        ids=[
-            "plain",
-            "spring",
-            "torque_limit",
-            "substeps_50hz",
-            "paper_literal",
-            "spring_and_limit",
-            "one_substep",
-        ],
+    # step() is the specification of the kernel behind run(): the two must
+    # agree bit for bit on any config, in success and in failure.
+    @_with_examples
+    # Leaves (0, pi) on the last substep of tick 5, where k*period + n*dt
+    # and (k + 1)*period round apart: run once reported t one ulp later.
+    @example(
+        cfg=SimConfig(
+            geom=LegGeometry(link_len=0.8704064111508197, mass=0.75, g=1.0),
+            controller=ControllerConfig(kp=6880.0, kd=39.0, control_rate=54.53125),
+            h0=1.5152146411448997,
+            amplitude=0.14452383480353642,
+            t_period=0.05,
+            sine_convention="paper-literal",
+            duration=1.0,
+            physics_dt=0.004584527220630372,
+        )
     )
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(cfg=sim_configs())
+    def test_step_reproduces_run_for_any_config(self, cfg):
+        _replay_agrees_with_run(cfg)
+
+    # The named cases pin that each branch is reached: the clamp engages,
+    # on both sides with a spring, and each failure case fails.
+    @pytest.mark.parametrize("kw", STEP_CASES.values(), ids=STEP_CASES)
     def test_step_reproduces_run_exactly(self, kw):
         cfg = base_cfg(**{"duration": 0.5, **kw})
-        traj = run(cfg)
+        traj = _replay_agrees_with_run(cfg)
         if cfg.torque_limit is not None:
             assert np.abs(traj.tau).max() == cfg.torque_limit  # the clamp engaged
         if cfg.torque_limit is not None and cfg.spring is not None:
             assert traj.tau.max() == cfg.torque_limit
             assert traj.tau.min() == -cfg.torque_limit
-        state = initial_state(cfg)
-        n_sub = cfg.n_substeps
-        logged_theta, logged_tau = [], []
-        for _ in range(len(traj)):
-            assert state.substep_index == 0
-            logged_theta.append(state.theta)
-            before = state
-            state = step(state, cfg)
-            # torque logged by run == fresh PD output of the tick's first substep
-            logged_tau.append(-state.last_motor_torque)
-            for _ in range(n_sub - 1):
-                state = step(state, cfg)
-            assert state.tick_index == before.tick_index + 1
-        np.testing.assert_array_equal(np.array(logged_theta), traj.alpha)
-        np.testing.assert_array_equal(np.array(logged_tau), traj.tau)
 
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"torque_limit": 5.0},  # collapses at t = 0.301 s
-            {"controller": ControllerConfig(kp=1e-3, kd=0.0, control_rate=100.0)},
-            {"torque_limit": 2.0, "physics_dt": 5e-4, "duration": 0.5},
-            # a subnormal mass overflows the acceleration: NonFiniteState
-            {"geom": LegGeometry(link_len=0.28, mass=1e-310, g=9.81), "duration": 0.5},
-            # the cases that leave (0, pi) upward: theta = 3.1798 at t = 0.025 s,
-            # and on the last substep of a run, where no Jacobian check follows
-            {"spring": SpringParams(300.0, 3.1), "torque_limit": 5.0},
-            {
-                "spring": SpringParams(1000.0, 3.1),
-                "torque_limit": 5.0,
-                "physics_dt": 0.01,
-                "duration": 0.01,
-            },
-        ],
-        ids=[
-            "limit_5Nm",
-            "weak_kp",
-            "limit_2Nm_dt_5e-4",
-            "nonfinite",
-            "overextends",
-            "overextends_last_substep",
-        ],
-    )
+    @pytest.mark.parametrize("kw", FAILURE_CASES.values(), ids=FAILURE_CASES)
     def test_step_reproduces_run_failure_exactly(self, kw):
-        cfg = base_cfg(**kw)
-        with pytest.raises(SimulationError) as from_run:
-            run(cfg)
-        state = initial_state(cfg)
-        with pytest.raises(SimulationError) as from_step:
-            for _ in range(cfg.n_ticks * cfg.n_substeps):
-                state = step(state, cfg)
-        assert type(from_step.value) is type(from_run.value)
-        assert from_step.value.t == from_run.value.t
-        assert getattr(from_step.value, "theta", None) == getattr(from_run.value, "theta", None)
+        assert isinstance(_replay_agrees_with_run(base_cfg(**kw)), SimulationError)
 
     def test_time_advances_on_exact_grid(self):
         cfg = base_cfg(duration=0.1)
