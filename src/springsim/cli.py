@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 runtime/fit error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,7 +40,11 @@ def _energy_model(text: str) -> EnergyModel:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: argparse's actions, groups and formatters
+    # point at each other, so each parser built is garbage for the cyclic
+    # collector, and a process may call main() many times.
     parser = argparse.ArgumentParser(
         prog="springsim",
         description="Parallel torsion-spring fitting and energy experiments "

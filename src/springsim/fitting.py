@@ -32,6 +32,10 @@ Two degeneracies are handled explicitly:
   but no finite equilibrium exists; the fit returns ``mu_star = 0`` with
   ``alpha0_defined = False`` (``alpha0_star`` is NaN).
 
+``springsim fit`` fits a log in one pass with :class:`_LogFit`, which
+keeps one block of samples and, past one block, centred moments in
+place of the raw sums.
+
 The sliding-window fitter re-fits the spring online. A push only records
 the sample; pending samples are copied into a numpy ring in bulk, and a
 fit runs the batch fit's own code on the ring, so it is exact on every
@@ -223,6 +227,124 @@ def _fit_arrays(alpha, tau, dt: float, k: float) -> FitDiagnostics:
         if not (math.isfinite(mu) and math.isfinite(res)):
             raise DegenerateTrajectory(f"fit is not finite: mu* {mu!r}, residual {res!r}")
         return FitDiagnostics(mu, alpha0, res, defined, n)
+
+
+# --- one-pass fit of a log -------------------------------------------------------
+
+
+class _LogFit:
+    """The fit and motor energy of a series fed to :meth:`add` in pieces
+    of any length, in order, held in O(:data:`_DOT_BLOCK`) memory.
+
+    Samples fill one :data:`_DOT_BLOCK` buffer pair. A full block is
+    folded, once the next sample arrives, into the count, means and
+    centred second moments ``C_aa, C_at, C_tt`` of all samples so far by
+    the pairwise merge of Chan, Golub & LeVeque (1979), and its sum of
+    squared torques is added as :func:`_dot` adds it, so the energy has
+    the bits of :func:`energy`. A series of at most one block is never
+    folded and is fitted by :func:`_fit_arrays`, with the bits of
+    :func:`fit_optimal`. A longer one is fitted from the moments::
+
+        mu* = C_at / C_aa,  alpha0* = mean_a - mean_t / mu*,
+        E_spring = K * dt * max(0, C_tt - C_at mu*)
+
+    which differs from :func:`fit_optimal` in the last digits of those
+    three values: centred moments do not cancel as raw sums do, so it is
+    the closer of the two to the exact fit. Blocks count samples, not
+    bytes, so the result does not depend on how the series is cut.
+    """
+
+    __slots__ = ("_alpha", "_tau", "_fill", "_n", "_mean_a", "_mean_t",
+                 "_c_aa", "_c_at", "_c_tt", "_s_tt")
+
+    def __init__(self):
+        self._alpha = np.empty(_DOT_BLOCK)
+        self._tau = np.empty(_DOT_BLOCK)
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every sample fed so far."""
+        self._fill = 0  # samples in the buffers
+        self._n = 0  # samples folded into the moments
+        self._mean_a = self._mean_t = 0.0
+        self._c_aa = self._c_at = self._c_tt = 0.0
+        self._s_tt = 0.0  # sum of squared torques, a block at a time
+
+    def add(self, alpha, tau) -> None:
+        """Feed the next samples: two 1-D arrays of equal length."""
+        i, m = 0, alpha.size
+        while i < m:
+            if self._fill == _DOT_BLOCK:
+                self._fold()
+            take = min(_DOT_BLOCK - self._fill, m - i)
+            j = self._fill
+            self._alpha[j : j + take] = alpha[i : i + take]
+            self._tau[j : j + take] = tau[i : i + take]
+            self._fill += take
+            i += take
+
+    def _fold(self) -> None:
+        # Centred in place: the buffers are refilled after a fold.
+        m = self._fill
+        a, t = self._alpha[:m], self._tau[:m]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._s_tt += float(t @ t)
+            mean_a = float(np.add.reduce(a)) / m
+            mean_t = float(np.add.reduce(t)) / m
+            a -= mean_a
+            t -= mean_t
+            c_aa, c_at, c_tt = float(a @ a), float(a @ t), float(t @ t)
+        n0 = self._n
+        n = n0 + m
+        d_a, d_t = mean_a - self._mean_a, mean_t - self._mean_t
+        w = n0 * m / n
+        self._mean_a += d_a * (m / n)
+        self._mean_t += d_t * (m / n)
+        self._c_aa += c_aa + d_a * d_a * w
+        self._c_at += c_at + d_a * d_t * w
+        self._c_tt += c_tt + d_t * d_t * w
+        self._n = n
+        self._fill = 0
+
+    def result(self, dt: float, k: float) -> tuple[FitDiagnostics, float]:
+        """The fit of every sample fed, with the contract and errors of
+        :func:`fit_optimal`, and their motor energy K * sum(tau^2) * dt."""
+        if not self._n:
+            alpha, tau = self._alpha[: self._fill], self._tau[: self._fill]
+            return _fit_arrays(alpha, tau, dt, k), _energy_arrays(tau, dt, k)
+        if self._fill:
+            self._fold()
+        n, mean_a, mean_t = self._n, self._mean_a, self._mean_t
+        c_aa, c_at, c_tt = self._c_aa, self._c_at, self._c_tt
+        e0 = k * self._s_tt * dt
+        # The checks of _fit_arrays, with its sums written as n * mean and
+        # n * C + (n * mean) * (n * mean).
+        if not math.isfinite(c_aa):
+            raise DegenerateTrajectory(f"sum of squared angle deviations {c_aa!r} is not finite")
+        variance = c_aa / n
+        mean_sq = variance + mean_a * mean_a
+        if variance <= VARIANCE_TOL * max(1.0, mean_sq):
+            raise DegenerateTrajectory(
+                f"angle variance {variance!r} is ~0: spring parameters underdetermined"
+            )
+        sa_st = (n * mean_a) * (n * mean_t)
+        scale = max(1.0, abs(sa_st), abs(n * c_at + sa_st))
+        defined = not n * abs(c_at) <= COVARIANCE_TOL * scale
+        if defined:
+            mu = c_at / c_aa
+            # mean_t / mu, but c_at is not 0 where mu may underflow to 0
+            alpha0 = mean_a - mean_t * (c_aa / c_at)
+            res = k * max(c_tt - c_at * mu, 0.0) * dt  # max keeps a NaN first argument
+        else:
+            mu, alpha0, res = 0.0, math.nan, e0
+        # Unlike _fit_arrays's, this residual does not depend on alpha0, so
+        # it does not turn non-finite with it: alpha0 is checked itself.
+        finite = math.isfinite(alpha0) or not defined
+        if not (finite and math.isfinite(mu) and math.isfinite(res)):
+            raise DegenerateTrajectory(
+                f"fit is not finite: mu* {mu!r}, alpha0* {alpha0!r}, residual {res!r}"
+            )
+        return FitDiagnostics(mu, alpha0, res, defined, n), e0
 
 
 # --- sliding-window streaming fit --------------------------------------------

@@ -59,8 +59,7 @@ from .errors import (
 from .fitting import (
     EnergyModel,
     FitDiagnostics,
-    _energy_arrays,
-    _fit_arrays,
+    _LogFit,
     energy,
     fit_optimal,
 )
@@ -456,20 +455,24 @@ def export_traces_from_dir(result_dir, out_dir) -> list[tuple[Path, Path]]:
 def fit_external(log_path, model: EnergyModel = EnergyModel()) -> dict:
     """Fit a spring to an arbitrary trajectory CSV; summary as a dict.
 
-    The numbers are those of :func:`fit_optimal` and :func:`energy` on
-    :func:`load_trajectory` of the log, and the errors are those of the
-    load: both read it through the one log reader, which keeps only the
-    angle and torque columns here, so a well-formed log takes 16 bytes
-    per sample plus O(128 KiB), where a load takes 24. Fit and load
-    errors name the log; a log whose motor energy is not finite is a
-    DegenerateTrajectory.
+    The log goes through the one log reader, so the errors are those of
+    :func:`load_trajectory`, but no column is kept: each parsed chunk's
+    angles and torques go to a one-pass fit, so a well-formed log is
+    read once and held in a few hundred KiB whatever its size. On a log
+    of at most 8192 samples every number is that of :func:`fit_optimal`
+    and :func:`energy` on the loaded log, bit for bit. On a longer one
+    ``e0`` still is, but ``mu_star``, ``alpha0_star`` and ``ea`` come
+    from merged centred moments and may differ in their last digits:
+    they are the closer to the exact fit, since the raw sums of
+    :func:`fit_optimal` cancel when the angles spread little around
+    their mean. Fit and load errors name the log; a log whose motor
+    energy is not finite is a DegenerateTrajectory.
     """
-    (alpha, tau), dt = _read_log(log_path, keep_t=False)
+    fit, dt = _read_log(log_path, _LogFit())
     try:
-        diag = _fit_arrays(alpha, tau, dt, model.k_motor)
+        diag, e0 = fit.result(dt, model.k_motor)
     except DegenerateTrajectory as exc:
         raise DegenerateTrajectory(f"{log_path}: {exc}") from exc
-    e0 = _energy_arrays(tau, dt, model.k_motor)
     if not math.isfinite(e0):
         raise DegenerateTrajectory(f"{log_path}: motor energy {e0!r} is not finite")
     return {

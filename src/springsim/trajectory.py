@@ -248,10 +248,10 @@ def _line_chunks(fh: BinaryIO, size: int) -> Iterator[bytes]:
         yield chunk
 
 
-def _parse_bulk(fh: BinaryIO, grid: _Grid, keep_t: bool) -> np.ndarray | None:
-    """The columns of the well-formed log that ``fh`` reads from its
-    start: t, alpha, tau as a (3, n) array, or alpha, tau as a (2, n)
-    array unless ``keep_t``; or None to defer.
+def _parse_bulk(fh: BinaryIO, grid: _Grid, sink=None):
+    """The well-formed log that ``fh`` reads from its start: its columns
+    t, alpha, tau as a (3, n) array or, with a ``sink``, the sink, fed
+    each chunk's alpha and tau; or None to defer.
 
     Well-formed: the exact header line, then at least two lines that
     each hold three finite numbers made of :data:`_NUMBER_BYTES` only,
@@ -260,11 +260,14 @@ def _parse_bulk(fh: BinaryIO, grid: _Grid, keep_t: bool) -> np.ndarray | None:
     per-line parser decides. numpy parses such cells to the same floats
     as ``float()``.
 
-    The log is read twice, a :data:`_CHUNK_BYTES` chunk at a time: once
-    to count its lines, then once more to check and parse each chunk of
-    whole lines straight into the preallocated columns. So beside the
-    columns only O(:data:`_CHUNK_BYTES`) is held. A log whose header or
-    line count changes between the two reads returns None. On return
+    The log is checked and parsed a :data:`_CHUNK_BYTES` chunk of whole
+    lines at a time, so beside the columns only O(:data:`_CHUNK_BYTES`)
+    is held. With a sink it is read once, and each chunk's alpha and tau
+    go to ``sink.add`` as parsed, so nothing grows with the log; the sink
+    may have been fed part of a log that then returns None. Without one
+    it is read twice: once to count its lines, then once more to parse
+    them straight into the preallocated columns, and a log whose header
+    or line count changes between the two reads returns None. On return
     ``fh`` may be at any position.
 
     Each chunk's timestamps are fed to ``grid`` as it is parsed. The
@@ -275,12 +278,13 @@ def _parse_bulk(fh: BinaryIO, grid: _Grid, keep_t: bool) -> np.ndarray | None:
     header = CSV_HEADER.encode() + b"\n"
     if fh.read(len(header)) != header:
         return None
-    n = sum(block.count(b"\n") for block in iter(lambda: fh.read(_CHUNK_BYTES), b""))
-    fh.seek(0)
-    if n < 2 or fh.read(len(header)) != header:
-        return None
-    first = 0 if keep_t else 1  # the first column kept
-    cols = np.empty((3 - first, n))
+    n = None  # lines counted, for the columns
+    if sink is None:
+        n = sum(block.count(b"\n") for block in iter(lambda: fh.read(_CHUNK_BYTES), b""))
+        fh.seek(0)
+        if n < 2 or fh.read(len(header)) != header:
+            return None
+        cols = np.empty((3, n))
     off_grid = None
     row = 0
     with warnings.catch_warnings():
@@ -289,7 +293,7 @@ def _parse_bulk(fh: BinaryIO, grid: _Grid, keep_t: bool) -> np.ndarray | None:
         for chunk in _line_chunks(fh, _CHUNK_BYTES):
             m = chunk.count(b"\n")
             # a last line without a newline, or more lines than counted
-            if not chunk.endswith(b"\n") or row + m > n:
+            if not chunk.endswith(b"\n") or n is not None and row + m > n:
                 return None
             if chunk.translate(None, _NUMBER_BYTES) != b",,\n" * m:
                 return None
@@ -305,13 +309,16 @@ def _parse_bulk(fh: BinaryIO, grid: _Grid, keep_t: bool) -> np.ndarray | None:
                     grid.feed(rows[0])
                 except NonUniformTimestep as exc:
                     off_grid = exc
-            cols[:, row : row + m] = rows[first:]
+            if sink is None:
+                cols[:, row : row + m] = rows
+            else:
+                sink.add(rows[1], rows[2])
             row += m
-    if row != n:
+    if row < 2 or n is not None and row != n:
         return None
     if off_grid is not None:
         raise off_grid
-    return cols
+    return cols if sink is None else sink
 
 
 def load_trajectory(path) -> Trajectory:
@@ -331,38 +338,47 @@ def load_trajectory(path) -> Trajectory:
         NonUniformTimestep: Grid invariant violated (carries the sample
             index of the first offending step, and names ``path``).
     """
-    cols, _ = _read_log(path, keep_t=True)
+    cols, _ = _read_log(path)
     return Trajectory(*cols)
 
 
-def _read_log(path, keep_t: bool) -> tuple[np.ndarray, float]:
-    """The columns t, alpha, tau of the log at ``path`` as a (3, n) array,
-    or alpha, tau as a (2, n) array unless ``keep_t``, and its dt.
+def _read_log(path, sink=None):
+    """The log at ``path``, read as its columns t, alpha, tau in a (3, n)
+    array or, with a ``sink``, fed to it; and its dt.
 
     The one reader of a log: it raises what :func:`load_trajectory`
-    raises. The file is opened once. A well-formed file is read twice, a
-    chunk at a time, by :func:`_parse_bulk`: once to count its lines,
-    once to parse them straight into the columns while their timestamps
-    are checked against the grid. So beside the columns, 16 or 24 bytes
-    per sample, only O(:data:`_CHUNK_BYTES`) is held. Any other file is
-    read whole, from the same handle, by :func:`_load_strict`, the
-    per-line parser, which alone decides what is accepted and which
-    error is raised, and its timestamps are checked by the same grid.
+    raises. The file is opened once. A well-formed file is parsed a
+    chunk at a time by :func:`_parse_bulk` while its timestamps are
+    checked against the grid: read twice into the columns, 24 bytes per
+    sample, or read once into ``sink``, so beside the columns only
+    O(:data:`_CHUNK_BYTES`) is held. Any other file is read whole, from
+    the same handle, by :func:`_load_strict`, the per-line parser, which
+    alone decides what is accepted and which error is raised; its
+    timestamps are checked by the same grid, and its alpha and tau are
+    fed whole to the sink, reset first.
+
+    ``sink`` is an object with ``add(alpha, tau)``, taking the next
+    samples of the log in order, and ``reset()``, such as the
+    accumulator of ``springsim fit``; it is returned in place of the
+    columns.
     """
     path = Path(path)
     try:
         with open_input(path, MissingFile(path)) as fh:
             grid = _Grid()
-            cols = _parse_bulk(fh, grid, keep_t)
-            if cols is None:
+            read = _parse_bulk(fh, grid, sink)
+            if read is None:
                 fh.seek(0)
-                cols = _load_strict(path, fh.read())
+                read = _load_strict(path, fh.read())
                 grid = _Grid()  # the bulk pass may have fed it part of the log
-                grid.feed(cols[0])
-                cols = cols if keep_t else cols[1:]
+                grid.feed(read[0])
+                if sink is not None:
+                    sink.reset()  # and the sink, too
+                    sink.add(read[1], read[2])
+                    read = sink
     except NonUniformTimestep as exc:
         raise NonUniformTimestep(exc.index, exc.detail, path) from exc
-    return cols, grid.dt
+    return read, grid.dt
 
 
 def _load_strict(path, data: bytes) -> np.ndarray:

@@ -837,6 +837,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mu*" in out and "Ea/E0" in out
 
+    # argparse objects point at each other: a parser built per call would
+    # be left for the cyclic collector by every call in one process.
+    def test_repeat_call_leaves_no_argparse_garbage(self, tmp_path, capsys):
+        n = 100
+        t = np.arange(n) * 0.01
+        alpha = 0.5 + 0.3 * np.sin(t)
+        path = tmp_path / "lin.csv"
+        save_trajectory(Trajectory(t, alpha, 4.0 * (alpha - 1.2), dt=0.01), path)
+        argv = ["fit", str(path), "--json"]
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert cli_main(argv) == 0
+            gc.collect()
+            left = [type(o).__qualname__ for o in gc.garbage
+                    if type(o).__module__ == "argparse"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == []
+        assert json.loads(capsys.readouterr().out)["n_samples"] == n
+
     def test_fit_degenerate_exit_one(self, tmp_path, capsys):
         n = 50
         t = np.arange(n) * 0.01
@@ -852,6 +876,21 @@ class TestCli:
         path.write_text("t,alpha_rad,tau_Nm\n0.0,0.1,1.0\n0.01,1e300,1.5\n0.02,0.3,2.0\n")
         assert cli_main(["fit", str(path)]) == 1
         assert "not finite" in self._assert_one_line_error(capsys, "fit")
+
+    # Past one fit block, mu* comes from centred moments. Angles of +-1e152
+    # and torques of +-1.8e-172 give a covariance clear of zero but a mu*
+    # of about 2e-324, which rounds to 0: alpha0* = mean_t / mu* is not a
+    # float, and dividing by mu* would raise ZeroDivisionError.
+    def test_fit_stiffness_below_the_float_range_exit_one(self, tmp_path, capsys):
+        n = 8200
+        sign = np.tile([1.0, -1.0], n // 2)
+        path = tmp_path / "tiny_mu.csv"
+        save_trajectory(
+            Trajectory(np.arange(n) * 1e-3, 1e152 * sign, 1.5e-16 / (n * 1e152) * sign), path
+        )
+        assert cli_main(["fit", str(path)]) == 1
+        err = self._assert_one_line_error(capsys, "fit")
+        assert f"{path}: fit is not finite: mu* 0.0, alpha0* nan" in err
 
     def test_fit_missing_file_exit_one(self, tmp_path):
         assert cli_main(["fit", str(tmp_path / "nope.csv")]) == 1

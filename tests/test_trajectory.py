@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from springsim import (
     EmptyFile,
+    IoFailure,
     MalformedRow,
     MissingFile,
     NonUniformTimestep,
@@ -22,7 +23,7 @@ from springsim import (
     load_trajectory,
     save_trajectory,
 )
-from springsim import fit_external, trajectory
+from springsim import energy, fit_external, fitting, trajectory
 from springsim.cli import main as cli_main
 from springsim.trajectory import CSV_HEADER
 
@@ -410,7 +411,7 @@ def _assert_parity(path, outcome=_load_and_fit_outcome):
     by default the outcome of both the load and the fit of ``path``."""
     bulk = outcome(path)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(trajectory, "_parse_bulk", lambda fh, grid, keep_t: None)
+        m.setattr(trajectory, "_parse_bulk", lambda fh, grid, sink: None)
         assert outcome(path) == bulk
 
 
@@ -485,16 +486,17 @@ class TestBulkParser:
         save_trajectory(traj, path)
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
         with open(path, "rb") as fh:
-            cols = trajectory._parse_bulk(fh, trajectory._Grid(), keep_t=True)
+            cols = trajectory._parse_bulk(fh, trajectory._Grid())
         assert cols is not None and cols.flags.c_contiguous
         assert cols.tobytes() == np.stack([traj.t, traj.alpha, traj.tau]).tobytes()
         loaded = load_trajectory(path)
         assert loaded == traj and loaded.t.base is loaded.tau.base  # rows of one array
 
     # Peak traced memory of a load, and of a fit: 24 B per sample of
-    # columns for a load, 16 for a fit, which keeps no timestamps, and
-    # O(_CHUNK_BYTES) of chunk buffers. Nothing grows with the file:
-    # neither its bytes nor a full-size temporary are held.
+    # columns for a load, and O(_CHUNK_BYTES) of chunk buffers. A fit
+    # keeps no column: one block pair of 16 B per sample of a block.
+    # Nothing grows with the file: neither its bytes nor a full-size
+    # temporary are held.
     def test_bulk_load_holds_its_columns_and_a_few_chunks_only(self, tmp_path):
         path, traj = _big_log(tmp_path)
         loaded, peak = _traced_peak(load_trajectory, path)
@@ -503,9 +505,11 @@ class TestBulkParser:
 
     def test_fit_holds_the_columns_and_a_few_chunks_only(self, tmp_path):
         path, traj = _big_log(tmp_path)
+        bound = 16 * fitting._DOT_BLOCK + 4 * trajectory._CHUNK_BYTES + 65536
+        assert 16 * len(traj) > bound  # the log's two columns would not fit
         info, peak = _traced_peak(fit_external, path)
         assert info["n_samples"] == len(traj)
-        assert peak <= 16 * len(traj) + 4 * trajectory._CHUNK_BYTES + 65536, peak
+        assert peak <= bound, peak
 
     def test_lenient_log_is_read_once(self, tmp_path, monkeypatch):
         path = _write(tmp_path / "crlf.csv", CSV_HEADER + "\r\n0.0,0.1,1.0\r\n0.01,0.2,1.1\r\n")
@@ -549,11 +553,11 @@ class TestBulkParser:
         assert _outcome(load_trajectory, path) == expected
         assert len(opened) == 1 and strict == [path]
 
-    # A read that fails: the first, one while counting, one while parsing,
-    # and the per-line parser's whole-file read of a lenient log. In
-    # 4096-byte chunks the 45 KB log takes read 1 for the header, 2-14 to
-    # count, 15 for the header again and 16 on to parse.
-    @pytest.mark.parametrize("lenient, fail_read", [(False, 1), (False, 3), (False, 16), (True, 2)])
+    # A read of the fit that fails: the first, one while parsing, the last
+    # chunk's, and the per-line parser's whole-file read of a lenient log.
+    # In 4096-byte chunks the fit reads the 45 KB log once: read 1 for the
+    # header, 2-12 to parse and 13 to find its end.
+    @pytest.mark.parametrize("lenient, fail_read", [(False, 1), (False, 3), (False, 12), (True, 2)])
     def test_read_error_is_one_line_exit_one(
         self, tmp_path, monkeypatch, capsys, lenient, fail_read
     ):
@@ -568,6 +572,20 @@ class TestBulkParser:
         err = captured.err.splitlines()
         assert captured.out == "" and len(err) == 1, captured
         assert str(path) in err[0] and "Input/output error" in err[0]
+        assert fh.reads == fail_read and fh.closed
+
+    # A read of the load that fails. The load reads the log twice, to
+    # preallocate its columns: in 4096-byte chunks read 1 for the header,
+    # 2-14 to count, 15 for the header again and 16-26 to parse.
+    @pytest.mark.parametrize("fail_read", [3, 15, 16])
+    def test_load_read_error_names_the_log(self, tmp_path, monkeypatch, fail_read):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 4096)
+        path, _ = _small_log(tmp_path)
+        fh = SpyReader(path, fail_read=fail_read)
+        spy_on_open(monkeypatch, path, reader=lambda p: fh)
+        with pytest.raises(IoFailure) as info:
+            load_trajectory(path)
+        assert str(path) in str(info.value) and "Input/output error" in str(info.value)
         assert fh.reads == fail_read and fh.closed
 
     @pytest.mark.parametrize(
@@ -719,6 +737,90 @@ class TestFitRead:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"springsim fit: error: {message}\n"
+
+
+# --- the fit of a log longer than a block: one pass over merged moments -------
+
+
+#: Samples in a log of three fit blocks, the last one partial.
+LONG = 2 * fitting._DOT_BLOCK + 1617
+
+
+def _long_log(path, alpha, tau, parser):
+    """A log of ``alpha`` and ``tau`` at dt 1e-3. For the ``strict`` parser
+    a blank last line sends it to the per-line parser, after the bulk
+    parser has fed the fit every sample."""
+    save_trajectory(Trajectory(np.arange(alpha.size) * 1e-3, alpha, tau, dt=1e-3), path)
+    if parser == "strict":
+        with _REAL_OPEN(path, "ab") as fh:
+            fh.write(b"\n")
+    return path
+
+
+class TestLongLogFit:
+    # Each case runs for every chunk size and both parsers: the result
+    # depends on neither, as the fit cuts its blocks by sample count.
+    pytestmark = [
+        pytest.mark.parametrize("chunk", CHUNKS),
+        pytest.mark.parametrize("parser", ["bulk", "strict"]),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def _chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
+
+    def test_constant_angle_is_one_line_exit_one(self, tmp_path, capsys, chunk, parser):
+        tau = np.sin(np.arange(LONG) * 1e-2)
+        path = _long_log(tmp_path / "c.csv", np.full(LONG, 0.7), tau, parser)
+        assert cli_main(["fit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"springsim fit: error: {path}: angle variance ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_zero_covariance_leaves_alpha0_undefined(self, tmp_path, chunk, parser):
+        # tau is even about the mean angle: no covariance
+        alpha = np.tile([0.0, 1.0, 2.0], LONG // 3)
+        tau = np.tile([1.0, 5.0, 1.0], LONG // 3)
+        info = fit_external(_long_log(tmp_path / "z.csv", alpha, tau, parser))
+        assert info["n_samples"] == alpha.size > fitting._DOT_BLOCK
+        assert info["mu_star"] == 0.0 and not info["alpha0_defined"]
+        assert info["alpha0_star"] is None
+        assert info["ea"] == info["e0"] and info["ratio"] == 1.0
+
+    def test_exact_linear_law_leaves_no_energy(self, tmp_path, chunk, parser):
+        alpha = 2.0 + 1e-3 * np.random.default_rng(6).standard_normal(LONG)
+        info = fit_external(_long_log(tmp_path / "l.csv", alpha, 3.0 * (alpha - 0.5), parser))
+        assert info["mu_star"] == pytest.approx(3.0, rel=1e-12)
+        assert info["alpha0_star"] == pytest.approx(0.5, rel=1e-12)
+        assert 0.0 <= info["ratio"] <= 1e-15
+
+    def test_e0_is_the_energy_of_the_loaded_log(self, tmp_path, chunk, parser):
+        rng = np.random.default_rng(8)
+        path = _long_log(
+            tmp_path / "e.csv", rng.standard_normal(LONG), rng.standard_normal(LONG), parser
+        )
+        info = fit_external(path)
+        assert info["e0"] == energy(load_trajectory(path))
+        assert info["n_samples"] == LONG
+
+
+# A log of at most one block is fitted by the code of fit_optimal, bit for
+# bit; one sample more is fitted from the merged moments. The angles spread
+# 1e-3 rad around 2 rad, where the two differ in their last digits.
+@pytest.mark.parametrize("n", [3, fitting._DOT_BLOCK, fitting._DOT_BLOCK + 1])
+def test_one_block_log_fits_as_fit_optimal(tmp_path, n):
+    rng = np.random.default_rng(12)
+    alpha = 2.0 + 1e-3 * rng.standard_normal(n)
+    path = _long_log(tmp_path / "b.csv", alpha, 12.0 * (alpha - 2.3) + rng.random(n), "bulk")
+    traj = load_trajectory(path)
+    diag = fitting.fit_optimal(traj)
+    info = fit_external(path)
+    assert info["e0"] == energy(traj)
+    same = (info["mu_star"], info["alpha0_star"], info["ea"]) == (
+        diag.mu_star, diag.alpha0_star, diag.residual_energy
+    )
+    assert same == (n <= fitting._DOT_BLOCK)
 
 
 def _grid_outcome(read_dt):
