@@ -272,7 +272,7 @@ def test_paper_report_is_byte_identical_to_the_benchmark_reference(grid_dir):
 
 @pytest.fixture(scope="module")
 def pinned_fit_log(tmp_path_factory):
-    """A seeded 150k-sample log of 7.0 MB, 54 default chunks.
+    """A seeded 150k-sample log of 7.0 MB, 856 default chunks.
 
     Its angles spread 1e-3 rad around 2 rad, so the cancellation in the
     raw-sum fit shows a change in any sum. It is made from uniform draws
@@ -288,7 +288,7 @@ def pinned_fit_log(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("chunk", [trajectory._CHUNK_BYTES, 1, 7, 64])
+@pytest.mark.parametrize("chunk", [1 << 17, trajectory._CHUNK_BYTES, 1, 7, 64])
 def test_fit_output_is_pinned_for_any_chunk_size(pinned_fit_log, monkeypatch, capsys, chunk):
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
     assert cli_main(["fit", str(pinned_fit_log), "--json"]) == 0

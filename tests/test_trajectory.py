@@ -1,9 +1,11 @@
 """Trajectory construction invariants and CSV round-trips."""
 
+import decimal
 import errno
 import io
 import math
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -278,12 +280,43 @@ FLOAT64 = (
 ODD_CELLS = [
     "", " 1.5", "1.5 ", " ", "nan", "inf", "-inf", "1e999", "-1e999", "1e-400",
     "1_0", "0x10", "2.5abc", "1.5,2.5", "+1", "5.", "-.5", "1E5", "1.5e", "1.5.5",
-    "\u0661", "\u00e9", "\udcff",
+    "\u0661", "\u00e9", "\udcff", "-0", "-0e0", "0", "01", "-00",
 ]
 
 #: Bytes inside a line: lone CR and other str.splitlines() line boundaries,
 #: NUL, and a byte that is not UTF-8 ("\udcff" encodes to 0xff).
 ODD_CHARS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\x00", "\udcff"]
+
+
+def _midpoint(x):
+    """The exact decimal halfway between finite ``x`` > 0 and the next float up."""
+    with decimal.localcontext(decimal.Context(prec=2000)):
+        mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+    return format(mid, "e")
+
+
+#: JSON numbers whose float() the bulk parser must give bit for bit: reprs
+#: of random bit patterns and of subnormals, decimals of 15-800 digits,
+#: exact midpoints between adjacent floats, where a parser must round half
+#: to even, and integers up to and past 2**64.
+JSON_NUMBERS = st.one_of(
+    FLOAT64.map(repr),
+    st.integers(1 - 2**52, 2**52 - 1).filter(bool).map(lambda m: repr(m * 5e-324)),
+    st.builds(
+        "{}{}.{}e{}".format,
+        st.sampled_from(["", "-"]),
+        st.integers(1, 9),
+        st.text("0123456789", min_size=14, max_size=799),
+        st.integers(-400, 310),
+    ),
+    st.builds(
+        "{}{}".format,
+        st.sampled_from(["", "-"]),
+        FLOAT64.map(abs).filter(lambda x: 0 < x < sys.float_info.max).map(_midpoint),
+    ),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1]).map(str),
+).filter(lambda cell: math.isfinite(float(cell)))
 
 CELLS = st.one_of(
     st.sampled_from(ODD_CELLS),
@@ -415,12 +448,13 @@ def _assert_parity(path, outcome=_load_and_fit_outcome):
         assert outcome(path) == bulk
 
 
-#: Chunk sizes for the bulk parser besides the default, which holds a
-#: small log whole: a chunk per line (1) and a few lines each (7, 64).
+#: Chunk sizes for the bulk parser below the default: a chunk per line
+#: (1) and a few lines each (7, 64).
 SMALL_CHUNKS = [1, 7, 64]
 
-#: The default chunk size and the small ones.
-CHUNKS = [trajectory._CHUNK_BYTES] + SMALL_CHUNKS
+#: 128 KiB, which holds each small log here whole, the default chunk
+#: size, and the small ones.
+CHUNKS = [1 << 17, trajectory._CHUNK_BYTES] + SMALL_CHUNKS
 
 #: Hypothesis settings of the parity properties.
 PARITY_SETTINGS = settings(
@@ -511,8 +545,31 @@ class TestBulkParser:
         assert info["n_samples"] == len(traj)
         assert peak <= bound, peak
 
+    # A CRLF log takes the bulk path too: a chunk more of memory at most.
+    def test_crlf_fit_holds_the_columns_and_a_few_chunks_only(self, tmp_path):
+        path, traj = _big_log(tmp_path)
+        expected = fit_external(path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        bound = 16 * fitting._DOT_BLOCK + 4 * trajectory._CHUNK_BYTES + 65536
+        info, peak = _traced_peak(fit_external, path)
+        assert info == expected
+        assert peak <= bound, peak
+
+    # orjson's reader rounds correctly, as float() does.
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(cells=st.lists(st.tuples(JSON_NUMBERS, JSON_NUMBERS), min_size=2, max_size=30))
+    def test_columns_are_float_bit_for_bit(self, cells):
+        lines = [f"{i * 0.25!r},{a},{b}\n" for i, (a, b) in enumerate(cells)]
+        data = (CSV_HEADER + "\n" + "".join(lines)).encode()
+        cols = trajectory._parse_bulk(io.BytesIO(data), trajectory._Grid())
+        assert cols is not None
+        expected = [[i * 0.25 for i in range(len(cells))]] + [
+            [float(row[j]) for row in cells] for j in (0, 1)
+        ]
+        assert cols.tobytes() == np.array(expected).tobytes()
+
     def test_lenient_log_is_read_once(self, tmp_path, monkeypatch):
-        path = _write(tmp_path / "crlf.csv", CSV_HEADER + "\r\n0.0,0.1,1.0\r\n0.01,0.2,1.1\r\n")
+        path = _write(tmp_path / "blank.csv", CSV_HEADER + "\n\n0.0,0.1,1.0\n0.01,0.2,1.1\n")
         opened = spy_on_open(monkeypatch, path)
         assert len(load_trajectory(path)) == 2
         assert len(opened) == 1
@@ -556,15 +613,17 @@ class TestBulkParser:
     # A read of the fit that fails: the first, one while parsing, the last
     # chunk's, and the per-line parser's whole-file read of a lenient log.
     # In 4096-byte chunks the fit reads the 45 KB log once: read 1 for the
-    # header, 2-12 to parse and 13 to find its end.
-    @pytest.mark.parametrize("lenient, fail_read", [(False, 1), (False, 3), (False, 12), (True, 2)])
+    # header, 2-12 to parse and 13 to find its end. The lenient log has a
+    # blank line after its header, so the bulk parser defers at read 2 and
+    # the per-line parser reads the whole file at read 3.
+    @pytest.mark.parametrize("lenient, fail_read", [(False, 1), (False, 3), (False, 12), (True, 3)])
     def test_read_error_is_one_line_exit_one(
         self, tmp_path, monkeypatch, capsys, lenient, fail_read
     ):
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 4096)
         path, _ = _small_log(tmp_path)
         if lenient:
-            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\n\n", 1))
         fh = SpyReader(path, fail_read=fail_read)
         spy_on_open(monkeypatch, path, reader=lambda p: fh)
         assert cli_main(["fit", str(path)]) == 1
@@ -721,9 +780,10 @@ class TestFitRead:
         assert _failure(fit_external, path) == expected
 
     # A first step past the float range infers no dt: it is off the grid at
-    # index 1, for the bulk parser (LF) and the per-line parser (CRLF).
+    # index 1, for the bulk parser (LF and CRLF) and the per-line parser
+    # (a blank line after each line).
     @pytest.mark.parametrize("chunk", CHUNKS)
-    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\n\n"], ids=["lf", "crlf", "blank"])
     def test_first_step_past_the_float_range_exit_one(
         self, tmp_path, monkeypatch, capsys, chunk, end
     ):
