@@ -401,16 +401,17 @@ def _write_period_overlay(
     # m * period < n - n_period + 0.5 keeps round(m * period) + n_period <= n.
     k0 = round(math.floor((n - n_period + 0.5) / period) * period)
     sl = slice(k0, k0 + n_period)
-    t_rel = (traj_a.t[sl] - traj_a.t[k0]).tolist()
-    tau_a = traj_a.tau[sl].tolist()
-    tau_b = traj_b.tau[sl].tolist()
+    t_rel = traj_a.t[sl] - traj_a.t[k0]
+    tau_a = traj_a.tau[sl]
+    tau_b = traj_b.tau[sl]
 
     # The plot goes first: it is the one that can reject the data.
     svg_path = out_dir / f"{label}_torques.svg"
+    t_list = t_rel.tolist()
     try:
         line_plot(
             svg_path,
-            [("no spring", t_rel, tau_a), ("with spring", t_rel, tau_b)],
+            [("no spring", t_list, tau_a.tolist()), ("with spring", t_list, tau_b.tolist())],
             title=f"Knee motor torque over one period: {label}",
             xlabel="time within period [s]",
             ylabel="motor torque [N m]",

@@ -17,8 +17,10 @@ Conventions
   silently resampled.
 
 File format: CSV with header ``t,alpha_rad,tau_Nm``, one sample per
-line, decimal points, newline-terminated. Floats are written with
-``repr`` so that load(save(x)) reproduces every field exactly.
+line, decimal points, newline-terminated. Floats are written byte for
+byte as ``repr`` writes them, so that load(save(x)) reproduces every
+field exactly; the file is written a block of rows at a time, in memory
+that does not grow with the trajectory.
 """
 
 from __future__ import annotations
@@ -226,9 +228,7 @@ def save_trajectory(traj: Trajectory, path) -> None:
     Raises:
         IoFailure: On any OS-level write problem.
     """
-    atomic_write(
-        path, float_rows(CSV_HEADER, traj.t.tolist(), traj.alpha.tolist(), traj.tau.tolist())
-    )
+    atomic_write(path, float_rows(CSV_HEADER, traj.t, traj.alpha, traj.tau))
 
 
 #: Every byte a number in a well-formed log can contain: what

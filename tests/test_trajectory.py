@@ -22,10 +22,11 @@ from springsim import (
     Sample,
     SpringParams,
     Trajectory,
+    export_traces_from_dir,
     load_trajectory,
     save_trajectory,
 )
-from springsim import energy, fit_external, fitting, trajectory
+from springsim import _fileio, energy, fit_external, fitting, trajectory
 from springsim.cli import main as cli_main
 from springsim.trajectory import CSV_HEADER
 
@@ -919,3 +920,105 @@ class TestGridInPieces:
 
         whole = _grid_outcome(lambda: Trajectory(t, np.zeros(n), np.zeros(n)).dt)
         assert _grid_outcome(in_pieces) == whole
+
+
+# --- the CSV writer against repr ----------------------------------------------
+
+
+def _repr_rows(header, a, b, c):
+    """What ``float_rows`` must write, by definition: a ``repr`` per field."""
+    a, b, c = a.tolist(), b.tolist(), c.tolist()
+    return (header + "\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in zip(a, b, c))).encode()
+
+
+BLOCK = _fileio._BLOCK_ROWS
+
+#: Values that orjson writes as ``repr`` does: 0.0 and |x| in [1e-4, 1e16).
+ORDINARY = st.one_of(
+    st.just(0.0),
+    st.floats(1e-4, 1e16, exclude_max=True),
+    st.floats(-1e16, -1e-4, exclude_min=True),
+)
+
+#: Values that orjson writes otherwise, or close to where it starts to:
+#: |x| in [1e-5, 1e-4) and >= 1e16, subnormals, -0.0, NaN and inf, and
+#: the floats on either side of 1e-4 and 1e16.
+ODD = st.one_of(
+    st.floats(1e-5, 1e-4, exclude_max=True),
+    st.floats(-1e-4, -1e-5, exclude_min=True),
+    st.floats(min_value=1e16, allow_infinity=False),
+    st.floats(max_value=-1e16, allow_infinity=False),
+    st.integers(1 - 2**52, 2**52 - 1).map(lambda m: m * 5e-324),
+    st.sampled_from(
+        [-0.0, math.nan, math.inf, -math.inf]
+        + [math.nextafter(x, 0.0) for x in (1e-4, -1e-4, 1e16, -1e16)]
+        + [1e-4, -1e-4]
+    ),
+)
+
+WRITER_SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+
+def _columns(n, pool, seed):
+    """Three columns of ``n`` values, each drawn from ``pool``."""
+    rng = np.random.default_rng(seed)
+    return np.asarray(pool, dtype=np.float64)[rng.integers(len(pool), size=(3, n))]
+
+
+def _written(cols):
+    return b"".join(_fileio.float_rows("h", *cols))
+
+
+class TestWriter:
+    @WRITER_SETTINGS
+    @given(
+        n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]),
+        pool=st.lists(st.one_of(FLOAT64, ORDINARY), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_are_repr_bytes(self, n, pool, seed):
+        cols = _columns(n, pool, seed)
+        assert _written(cols) == _repr_rows("h", *cols)
+
+    # An ordinary block takes orjson's bytes whole; one odd value in it
+    # must be found, wherever it sits, and its line alone written by repr.
+    @WRITER_SETTINGS
+    @given(
+        n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1]),
+        pool=st.lists(ORDINARY, min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+        odd=ODD,
+        where=st.tuples(st.integers(0, 2), st.integers(0, BLOCK)),
+    )
+    def test_one_odd_value_in_an_ordinary_block(self, n, pool, seed, odd, where):
+        cols = _columns(n, pool, seed)
+        cols[where[0], where[1] % n] = odd
+        assert _written(cols) == _repr_rows("h", *cols)
+
+    def test_no_rows_is_the_header_line(self):
+        assert _written(np.zeros((3, 0))) == b"h\n"
+
+    # Every trace and period overlay that `grid --table paper` and `traces`
+    # write is, byte for byte, repr applied to the columns it holds.
+    def test_paper_grid_files_are_repr_bytes(self, grid_dir, tmp_path):
+        out, report = grid_dir
+        export_traces_from_dir(out, tmp_path)
+        paths = sorted((out / "traces").glob("*.csv")) + sorted(tmp_path.glob("*_torques.csv"))
+        assert len(paths) == 3 * len(report.results)  # two traces and an overlay a row
+        for path in paths:
+            data = path.read_bytes()
+            header, *rows = data.decode().splitlines()
+            cols = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+            assert data == _repr_rows(header, *cols), path.name
+
+    # Saving holds one block at a time, never a copy of the trajectory.
+    def test_save_holds_a_block_only(self, tmp_path):
+        n = 100_000
+        rng = np.random.default_rng(5)
+        traj = Trajectory(
+            np.arange(n) * 1e-3, 2.0 + 0.1 * rng.standard_normal(n), rng.standard_normal(n)
+        )
+        path = tmp_path / "long.csv"
+        _, peak = _traced_peak(save_trajectory, traj, path)
+        assert peak <= 1_000_000, peak
+        assert path.read_bytes() == _repr_rows(CSV_HEADER, traj.t, traj.alpha, traj.tau)
