@@ -236,22 +236,23 @@ def save_trajectory(traj: Trajectory, path) -> None:
 _NUMBER_BYTES = b"0123456789+-.eE"
 
 #: Bytes of a well-formed log read, checked and parsed at a time; a chunk
-#: runs on to the end of the line holding its last byte. While a chunk is
-#: parsed, its bytes, their JSON copy, orjson's own buffer and its list of
-#: Python floats (32 bytes a value, against the 8 of a column) are held at
-#: once, about 6.5 times the chunk. 8 KiB keeps that under a fit's 128 KiB
-#: block. 16 KiB parsed a 150k-sample log about 12% faster, but added
-#: about 0.03 MiB to the peak RSS of a paper-grid run and its traces.
+#: runs on to the end of the line holding its last byte. While orjson
+#: parses a chunk, the chunk's JSON text is the one copy of its bytes that
+#: is alive; with orjson's list of Python floats (32 bytes a value, against
+#: the 8 of a column) and their column, about 4.3 times the chunk is held
+#: (a traced peak of 35.6 KB on a 150k-sample log). 8 KiB keeps that under
+#: a fit's 128 KiB block. 16 KiB parsed that log about 13% faster, but
+#: raised the peak RSS of ``springsim fit`` on it by 0.01-0.04 MiB.
 _CHUNK_BYTES = 1 << 13
 
 
-def _line_chunks(fh: BinaryIO, size: int) -> Iterator[bytes]:
-    """The rest of ``fh`` in chunks of ``size`` bytes, each run on to the end
-    of the line holding its last byte; the last ends where the file does."""
-    while chunk := fh.read(size):
-        if not chunk.endswith(b"\n"):
-            chunk += fh.readline()
-        yield chunk
+def _line_chunk(fh: BinaryIO, size: int) -> bytes:
+    """The next ``size`` bytes of ``fh``, run on to the end of the line
+    holding the last of them or to the end of the file; b"" at its end."""
+    chunk = fh.read(size)
+    if chunk and not chunk.endswith(b"\n"):
+        chunk += fh.readline()
+    return chunk
 
 
 def _read_header(fh: BinaryIO) -> bool:
@@ -284,15 +285,24 @@ def _parse_bulk(fh: BinaryIO, grid: _Grid, sink=None):
     each number it reads correctly, so it parses every cell it accepts
     to the float that ``float()`` gives.
 
+    orjson reads the integer ``-0`` as the integer 0, so a chunk that
+    holds one parses to a zero among its values. Only such a chunk is
+    searched for a ``-0`` cell, in its JSON text: first (after ``[``),
+    between commas, or last (before ``]``); a chunk holding none of its
+    values at zero is not searched.
+
     The log is checked and parsed a :data:`_CHUNK_BYTES` chunk of whole
     lines at a time, so beside the columns only O(:data:`_CHUNK_BYTES`)
-    is held. With a sink it is read once, and each chunk's alpha and tau
-    go to ``sink.add`` as parsed, so nothing grows with the log; the sink
-    may have been fed part of a log that then returns None. Without one
-    it is read twice: once to count its lines, then once more to parse
-    them straight into the preallocated columns, and a log whose header
-    or line count changes between the two reads returns None. On return
-    ``fh`` may be at any position.
+    is held. While orjson parses a chunk, the chunk's JSON text is the
+    only copy of its bytes that is alive: the bytes as read, and those
+    with line ends turned to commas, are freed first. With a sink the log
+    is read once, and each chunk's alpha and tau go to ``sink.add`` as
+    parsed, so nothing grows with the log; the sink may have been fed
+    part of a log that then returns None. Without one it is read twice:
+    once to count its lines, then once more to parse them straight into
+    the preallocated columns, and a log whose header or line count
+    changes between the two reads returns None. On return ``fh`` may be
+    at any position.
 
     Each chunk's timestamps are fed to ``grid`` as it is parsed. The
     first error of the grid is raised only once the whole log has parsed
@@ -310,7 +320,7 @@ def _parse_bulk(fh: BinaryIO, grid: _Grid, sink=None):
         cols = np.empty((3, n))
     off_grid = None
     row = 0
-    for chunk in _line_chunks(fh, _CHUNK_BYTES):
+    while chunk := _line_chunk(fh, _CHUNK_BYTES):
         m = _lines(chunk)
         if m is None:  # CRLF line ends, or not well-formed
             chunk = chunk.replace(b"\r\n", b"\n")
@@ -318,12 +328,15 @@ def _parse_bulk(fh: BinaryIO, grid: _Grid, sink=None):
         # more lines than counted
         if m is None or n is not None and row + m > n:
             return None
-        cells = chunk.replace(b"\n", b",")  # each cell followed by a comma
-        # orjson reads the integer -0 as the integer 0, without its sign
-        if cells.startswith(b"-0,") or b",-0," in cells:
-            return None
+        # The chunk as a JSON array, each line end a comma but the last.
+        # Each copy is freed once the next is made, so at most two are
+        # alive at once, and the text alone while orjson parses it.
+        cells = chunk.replace(b"\n", b",")
+        del chunk
+        text = b"[%b]" % memoryview(cells)[:-1]
+        del cells
         try:
-            values = orjson.loads(b"[%b]" % memoryview(cells)[:-1])
+            values = orjson.loads(text)
         except orjson.JSONDecodeError:
             return None
         if len(values) != 3 * m:
@@ -331,6 +344,13 @@ def _parse_bulk(fh: BinaryIO, grid: _Grid, sink=None):
         values = np.fromiter(values, np.float64, 3 * m)  # and the list is freed
         if not np.isfinite(values).all():
             return None
+        # orjson reads the integer -0 as the integer 0, without its sign;
+        # a chunk holding no zero holds no such cell
+        if np.count_nonzero(values) < values.size and (
+            text.startswith(b"[-0,") or b",-0," in text or text.endswith(b",-0]")
+        ):
+            return None
+        del text
         rows = values.reshape(m, 3).T
         if off_grid is None:
             try:

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -475,6 +476,58 @@ def _odd_cell_log(tmp_path, cell, col):
     return path
 
 
+#: Bytes of each line of :func:`_minus_zero_log`: its chunks end on the
+#: same lines wherever its ``-0`` is.
+_ZERO_LOG_WIDTH = 32
+
+
+def _minus_zero_log(path, n, row, col):
+    """A well-formed log of ``n`` lines of :data:`_ZERO_LOG_WIDTH` bytes
+    whose one zero is the integer ``-0``, at line ``row`` (from 0) of
+    column ``col``; the timestamps run through it when ``col`` is 0."""
+    lines = []
+    for i in range(n):
+        t = (i - row if col == 0 else i + 1) * 0.25
+        cells = [repr(t), repr(1.5 + (i % 7) * 0.125), repr(-2.5 + (i % 5) * 0.5)]
+        if i == row:
+            cells[col] = "-0"
+        # trailing zeros, which leave the number as it is, fill the line
+        pad = 2 if col == 1 else 1
+        cells[pad] += "0" * (_ZERO_LOG_WIDTH - 1 - len(",".join(cells)))
+        lines.append(",".join(cells) + "\n")
+    path.write_text(CSV_HEADER + "\n" + "".join(lines))
+    return path
+
+
+class TestOrjsonReader:
+    """What the bulk parser relies on in orjson's number reader."""
+
+    def test_integer_minus_zero_is_the_integer_zero(self):
+        value = orjson.loads(b"-0")
+        assert type(value) is int and value == 0
+
+    @pytest.mark.parametrize("cell", [b"-0.0", b"-0e0", b"-0E+0"])
+    def test_float_minus_zero_keeps_its_sign(self, cell):
+        value = orjson.loads(cell)
+        assert value == 0 and math.copysign(1.0, value) == -1.0
+
+    @pytest.mark.parametrize("cell", [b"1e999", b"-1e999", b"NaN", b"Infinity"])
+    def test_non_finite_number_is_an_error(self, cell):
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(b"[1.5,%b]" % cell)
+
+    # Past 2**64 to either side, halfway between two floats (rounded to
+    # even) and just past halfway.
+    @pytest.mark.parametrize(
+        "n", [2**64, 2**64 + 1, 2**64 + 2**11, 2**64 + 2**11 + 1, 2**64 + 3 * 2**11, 10**30 + 1]
+    )
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integer_past_64_bits_is_the_rounded_float(self, n, sign):
+        value = orjson.loads(str(sign * n).encode())
+        assert type(value) is float
+        assert struct.pack("<d", value) == struct.pack("<d", float(sign * n))
+
+
 class TestBulkParser:
     # In small chunks, chunk boundaries fall on every line, a final line
     # without a newline included.
@@ -498,6 +551,23 @@ class TestBulkParser:
     def test_each_odd_cell_in_small_chunks(self, tmp_path, monkeypatch, cell, col, chunk):
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
         _assert_parity(_odd_cell_log(tmp_path, cell, col))
+
+    # The integer -0 as the one zero of its chunk, at either end of the
+    # chunk's JSON text or between two of its cells.
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("col", [0, 1, 2])
+    @pytest.mark.parametrize("where", ["first", "last of a chunk", "first of a chunk", "last"])
+    def test_minus_zero_at_chunk_edges(self, tmp_path, monkeypatch, chunk, col, where):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
+        n = 2 * -(-chunk // _ZERO_LOG_WIDTH) + 2  # three chunks
+        ends = _chunk_ends(_minus_zero_log(tmp_path / "log.csv", n, 0, col), chunk)
+        edges = {"first": 0, "last of a chunk": ends[0] - 1, "first of a chunk": ends[0]}
+        row = edges.get(where, n - 1)
+        path = _minus_zero_log(tmp_path / "log.csv", n, row, col)
+        assert _chunk_ends(path, chunk) == ends
+        _assert_parity(path)
+        value = getattr(load_trajectory(path), ("t", "alpha", "tau")[col])[row]
+        assert value == 0 and np.signbit(value)
 
     def test_saved_file_takes_bulk_path(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(3)
@@ -678,8 +748,8 @@ def _failure(read, path):
 def _chunk_ends(path, chunk):
     """Data lines of the log at ``path`` read up to the end of each chunk."""
     ends = [0]
-    body = path.read_bytes()[len(CSV_HEADER) + 1 :]
-    for block in trajectory._line_chunks(io.BytesIO(body), chunk):
+    fh = io.BytesIO(path.read_bytes()[len(CSV_HEADER) + 1 :])
+    for block in iter(lambda: trajectory._line_chunk(fh, chunk), b""):
         ends.append(ends[-1] + block.count(b"\n"))
     return ends[1:]
 
