@@ -1,8 +1,9 @@
 """File reads and atomic writes shared by every reader and writer.
 
 Every input file is opened once, by :func:`open_input`: a log is read
-from the open file a chunk at a time, every other input whole, by
-:func:`read_file`. Every file springsim produces goes through
+from the open file a chunk at a time, from its start (a load counts its
+lines first, then seeks back to the start once), every other input
+whole, by :func:`read_file`. Every file springsim produces goes through
 :func:`atomic_write`, so a reader never sees a half-written file and a
 failed write leaves the old file in place; directories are created and
 stale files removed through :func:`make_dir` and :func:`remove_file`.
@@ -67,7 +68,9 @@ def open_input(path, missing: Exception) -> Iterator[BinaryIO]:
 
     Raises ``missing`` if ``path`` is not a regular file, and IoFailure
     on any other OS-level problem: opening it, or any read or seek in
-    the ``with`` block.
+    the ``with`` block. The file is read as the caller reads it: a log
+    in chunks, by :func:`springsim.trajectory._read_log`, every other
+    input whole, by :func:`read_file`.
     """
     try:
         if not Path(path).is_file():

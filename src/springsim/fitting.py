@@ -260,18 +260,16 @@ class _LogFit:
     def __init__(self):
         self._alpha = np.empty(_DOT_BLOCK)
         self._tau = np.empty(_DOT_BLOCK)
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget every sample fed so far."""
         self._fill = 0  # samples in the buffers
         self._n = 0  # samples folded into the moments
         self._mean_a = self._mean_t = 0.0
         self._c_aa = self._c_at = self._c_tt = 0.0
         self._s_tt = 0.0  # sum of squared torques, a block at a time
 
-    def add(self, alpha, tau) -> None:
-        """Feed the next samples: two 1-D arrays of equal length."""
+    def add(self, rows) -> None:
+        """Feed the next samples: rows t, alpha, tau, 1-D arrays of equal
+        length (the fit needs no timestamps)."""
+        alpha, tau = rows[1], rows[2]
         i, m = 0, alpha.size
         while i < m:
             if self._fill == _DOT_BLOCK:

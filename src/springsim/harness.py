@@ -457,9 +457,10 @@ def fit_external(log_path, model: EnergyModel = EnergyModel()) -> dict:
     """Fit a spring to an arbitrary trajectory CSV; summary as a dict.
 
     The log goes through the one log reader, so the errors are those of
-    :func:`load_trajectory`, but no column is kept: each parsed chunk's
-    angles and torques go to a one-pass fit, so a well-formed log is
-    read once and held in a few hundred KiB whatever its size. On a log
+    :func:`load_trajectory`, but no column is kept: the log is read once,
+    from its start, with no seek, and each parsed chunk's angles and
+    torques go to a one-pass fit, so a log is held in a few hundred KiB
+    whatever its size, well-formed or not. On a log
     of at most 8192 samples every number is that of :func:`fit_optimal`
     and :func:`energy` on the loaded log, bit for bit. On a longer one
     ``e0`` still is, but ``mu_star``, ``alpha0_star`` and ``ea`` come

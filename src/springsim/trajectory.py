@@ -235,14 +235,15 @@ def save_trajectory(traj: Trajectory, path) -> None:
 #: :func:`repr` writes for a finite float.
 _NUMBER_BYTES = b"0123456789+-.eE"
 
-#: Bytes of a well-formed log read, checked and parsed at a time; a chunk
-#: runs on to the end of the line holding its last byte. While orjson
-#: parses a chunk, the chunk's JSON text is the one copy of its bytes that
-#: is alive; with orjson's list of Python floats (32 bytes a value, against
-#: the 8 of a column) and their column, about 4.3 times the chunk is held
-#: (a traced peak of 35.6 KB on a 150k-sample log). 8 KiB keeps that under
-#: a fit's 128 KiB block. 16 KiB parsed that log about 13% faster, but
-#: raised the peak RSS of ``springsim fit`` on it by 0.01-0.04 MiB.
+#: Bytes of a log read and parsed at a time; a chunk runs on to the end
+#: of the line holding its last byte. While orjson parses a chunk, the
+#: chunk and its JSON text are the two copies of its bytes that are
+#: alive; with orjson's list of Python floats (32 bytes a value, against
+#: the 8 of a column) and their column, about 6 times the chunk is held
+#: (a traced peak of 50.2 KB while a 150k-sample log is read into a sink
+#: that keeps nothing). 8 KiB keeps that under a fit's 128 KiB block.
+#: 16 KiB parsed that log about 13% faster, but raised the peak RSS of
+#: ``springsim fit`` on it by 0.01-0.04 MiB.
 _CHUNK_BYTES = 1 << 13
 
 
@@ -255,13 +256,6 @@ def _line_chunk(fh: BinaryIO, size: int) -> bytes:
     return chunk
 
 
-def _read_header(fh: BinaryIO) -> bool:
-    """Whether ``fh`` reads the header line next, ended by LF or CRLF."""
-    header = CSV_HEADER.encode()
-    head = fh.read(len(header) + 1)
-    return head == header + b"\n" or head == header + b"\r" and fh.read(1) == b"\n"
-
-
 def _lines(chunk: bytes) -> int | None:
     """The number of lines in ``chunk`` if each holds three cells made of
     :data:`_NUMBER_BYTES` and ends in LF, else None."""
@@ -270,178 +264,79 @@ def _lines(chunk: bytes) -> int | None:
     return m if chunk.endswith(b"\n") and shape == b",,\n" * m else None
 
 
-def _parse_bulk(fh: BinaryIO, grid: _Grid, sink=None):
-    """The well-formed log that ``fh`` reads from its start: its columns
-    t, alpha, tau as a (3, n) array or, with a ``sink``, the sink, fed
-    each chunk's alpha and tau; or None to defer.
+def _parse_bulk(chunk: bytes) -> np.ndarray | None:
+    """The rows t, alpha, tau of ``chunk``, whole lines of a log past its
+    header, as a (3, m) array if the chunk is well-formed; else None, and
+    the per-line rules of :func:`_parse_lines` decide.
 
-    Well-formed: the exact header line, then at least two lines that
-    each hold three finite JSON numbers made of :data:`_NUMBER_BYTES`
-    only, each line ending in LF or CRLF. Anything else returns None,
-    and the per-line parser decides: blank lines, a lone CR, spaces,
-    ``nan``, ``1_0``, non-ASCII bytes, and the cells that ``float()``
-    reads but JSON does not (``+1``, ``.5``, ``5.``, ``01``), or reads
-    with a sign that orjson drops (the integer ``-0``). orjson rounds
-    each number it reads correctly, so it parses every cell it accepts
-    to the float that ``float()`` gives.
+    Well-formed: lines that each hold three finite JSON numbers made of
+    :data:`_NUMBER_BYTES` only, each line ending in LF or CRLF. Anything
+    else returns None: blank lines, a lone CR, spaces, ``nan``, ``1_0``,
+    non-ASCII bytes, and the cells that ``float()`` reads but JSON does
+    not (``+1``, ``.5``, ``5.``, ``01``), or reads with a sign that
+    orjson drops (the integer ``-0``). orjson rounds each number it reads
+    correctly, so it parses every cell it accepts to the float that
+    ``float()`` gives.
 
     orjson reads the integer ``-0`` as the integer 0, so a chunk that
     holds one parses to a zero among its values. Only such a chunk is
     searched for a ``-0`` cell, in its JSON text: first (after ``[``),
     between commas, or last (before ``]``); a chunk holding none of its
     values at zero is not searched.
-
-    The log is checked and parsed a :data:`_CHUNK_BYTES` chunk of whole
-    lines at a time, so beside the columns only O(:data:`_CHUNK_BYTES`)
-    is held. While orjson parses a chunk, the chunk's JSON text is the
-    only copy of its bytes that is alive: the bytes as read, and those
-    with line ends turned to commas, are freed first. With a sink the log
-    is read once, and each chunk's alpha and tau go to ``sink.add`` as
-    parsed, so nothing grows with the log; the sink may have been fed
-    part of a log that then returns None. Without one it is read twice:
-    once to count its lines, then once more to parse them straight into
-    the preallocated columns, and a log whose header or line count
-    changes between the two reads returns None. On return ``fh`` may be
-    at any position.
-
-    Each chunk's timestamps are fed to ``grid`` as it is parsed. The
-    first error of the grid is raised only once the whole log has parsed
-    as well-formed; a log that is not returns None all the same, so the
-    per-line parser's error comes first.
     """
-    if not _read_header(fh):
-        return None
-    n = None  # lines counted, for the columns
-    if sink is None:
-        n = sum(block.count(b"\n") for block in iter(lambda: fh.read(_CHUNK_BYTES), b""))
-        fh.seek(0)
-        if n < 2 or not _read_header(fh):
-            return None
-        cols = np.empty((3, n))
-    off_grid = None
-    row = 0
-    while chunk := _line_chunk(fh, _CHUNK_BYTES):
+    m = _lines(chunk)
+    if m is None:  # CRLF line ends, or not well-formed
+        chunk = chunk.replace(b"\r\n", b"\n")
         m = _lines(chunk)
-        if m is None:  # CRLF line ends, or not well-formed
-            chunk = chunk.replace(b"\r\n", b"\n")
-            m = _lines(chunk)
-        # more lines than counted
-        if m is None or n is not None and row + m > n:
+        if m is None:
             return None
-        # The chunk as a JSON array, each line end a comma but the last.
-        # Each copy is freed once the next is made, so at most two are
-        # alive at once, and the text alone while orjson parses it.
-        cells = chunk.replace(b"\n", b",")
-        del chunk
-        text = b"[%b]" % memoryview(cells)[:-1]
-        del cells
-        try:
-            values = orjson.loads(text)
-        except orjson.JSONDecodeError:
-            return None
-        if len(values) != 3 * m:
-            return None
-        values = np.fromiter(values, np.float64, 3 * m)  # and the list is freed
-        if not np.isfinite(values).all():
-            return None
-        # orjson reads the integer -0 as the integer 0, without its sign;
-        # a chunk holding no zero holds no such cell
-        if np.count_nonzero(values) < values.size and (
-            text.startswith(b"[-0,") or b",-0," in text or text.endswith(b",-0]")
-        ):
-            return None
-        del text
-        rows = values.reshape(m, 3).T
-        if off_grid is None:
-            try:
-                grid.feed(rows[0])
-            except NonUniformTimestep as exc:
-                off_grid = exc
-        if sink is None:
-            cols[:, row : row + m] = rows
-        else:
-            sink.add(rows[1], rows[2])
-        row += m
-    if row < 2 or n is not None and row != n:
-        return None
-    if off_grid is not None:
-        raise off_grid
-    return cols if sink is None else sink
-
-
-def load_trajectory(path) -> Trajectory:
-    """Read a trajectory CSV written by :func:`save_trajectory`.
-
-    ``dt`` is inferred from the first two timestamps, then the uniform
-    grid invariant is validated for the whole file. The file is read as
-    :func:`_read_log` reads it, so a well-formed file takes 24 bytes per
-    sample plus O(:data:`_CHUNK_BYTES`).
-
-    Raises:
-        MissingFile: ``path`` is not a regular file.
-        IoFailure: ``path`` could not be opened or read.
-        EmptyFile: No data rows, or a single row (dt not inferable).
-        MalformedRow: Wrong column count or unparsable number
-            (exception carries the 1-based line number).
-        NonUniformTimestep: Grid invariant violated (carries the sample
-            index of the first offending step, and names ``path``).
-    """
-    cols, _ = _read_log(path)
-    return Trajectory(*cols)
-
-
-def _read_log(path, sink=None):
-    """The log at ``path``, read as its columns t, alpha, tau in a (3, n)
-    array or, with a ``sink``, fed to it; and its dt.
-
-    The one reader of a log: it raises what :func:`load_trajectory`
-    raises. The file is opened once. A well-formed file is parsed a
-    chunk at a time by :func:`_parse_bulk` while its timestamps are
-    checked against the grid: read twice into the columns, 24 bytes per
-    sample, or read once into ``sink``, so beside the columns only
-    O(:data:`_CHUNK_BYTES`) is held. Any other file is read whole, from
-    the same handle, by :func:`_load_strict`, the per-line parser, which
-    alone decides what is accepted and which error is raised; its
-    timestamps are checked by the same grid, and its alpha and tau are
-    fed whole to the sink, reset first.
-
-    ``sink`` is an object with ``add(alpha, tau)``, taking the next
-    samples of the log in order, and ``reset()``, such as the
-    accumulator of ``springsim fit``; it is returned in place of the
-    columns.
-    """
-    path = Path(path)
+    # The chunk as a JSON array, each line end a comma but the last.
+    cells = chunk.replace(b"\n", b",")
+    del chunk  # frees the LF copy of a CRLF chunk; the caller holds the chunk as read
+    text = b"[%b]" % memoryview(cells)[:-1]
+    del cells
     try:
-        with open_input(path, MissingFile(path)) as fh:
-            grid = _Grid()
-            read = _parse_bulk(fh, grid, sink)
-            if read is None:
-                fh.seek(0)
-                read = _load_strict(path, fh.read())
-                grid = _Grid()  # the bulk pass may have fed it part of the log
-                grid.feed(read[0])
-                if sink is not None:
-                    sink.reset()  # and the sink, too
-                    sink.add(read[1], read[2])
-                    read = sink
-    except NonUniformTimestep as exc:
-        raise NonUniformTimestep(exc.index, exc.detail, path) from exc
-    return read, grid.dt
+        values = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return None
+    if len(values) != 3 * m:
+        return None
+    values = np.fromiter(values, np.float64, 3 * m)  # and the list is freed
+    if not np.isfinite(values).all():
+        return None
+    # orjson reads the integer -0 as the integer 0, without its sign;
+    # a chunk holding no zero holds no such cell
+    if np.count_nonzero(values) < values.size and (
+        text.startswith(b"[-0,") or b",-0," in text or text.endswith(b",-0]")
+    ):
+        return None
+    return values.reshape(m, 3).T
 
 
-def _load_strict(path, data: bytes) -> np.ndarray:
-    """Per-line parser of ``path``'s bytes, the specification of
-    :func:`_read_log`: the columns t, alpha, tau as a (3, n) array."""
+def _parse_lines(path, chunk: bytes, line_no: int) -> tuple[np.ndarray, int]:
+    """The rows t, alpha, tau of ``chunk``, whole lines of the log at
+    ``path`` after its first ``line_no``, by the per-line rules, as a
+    (3, k) array; and the lines read once it is parsed.
+
+    The rules: the lines are those ``str.splitlines`` gives, so a lone CR
+    and the other Unicode line boundaries end a line too. The first line
+    of the log, stripped, is the header. After it a line that is blank
+    but for whitespace is skipped, and any other holds three cells that
+    ``float()`` reads to finite values; a malformed line raises
+    MalformedRow with its 1-based number. The log is cut into chunks
+    after a LF, which never splits a UTF-8 sequence or a CRLF, so its
+    chunks parse as the whole log would.
+    """
+    rows = []
     # A byte that is not UTF-8 decodes to a lone surrogate, which no
     # number or header matches: its line is reported as malformed.
-    lines = data.decode("utf-8", "surrogateescape").splitlines()
-    if not lines:
-        raise EmptyFile(path)
-    header = lines[0].strip()
-    if header != CSV_HEADER:
-        raise MalformedRow(path, 1, f"expected header {CSV_HEADER!r}, got {header!r}")
-    t, alpha, tau = [], [], []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line in chunk.decode("utf-8", "surrogateescape").splitlines():
+        line_no += 1
+        if line_no == 1:
+            header = line.strip()
+            if header != CSV_HEADER:
+                raise MalformedRow(path, 1, f"expected header {CSV_HEADER!r}, got {header!r}")
+            continue
         if not line.strip():
             continue
         parts = line.split(",")
@@ -453,11 +348,107 @@ def _load_strict(path, data: bytes) -> np.ndarray:
             raise MalformedRow(path, line_no, str(exc)) from exc
         if not all(math.isfinite(v) for v in row):
             raise MalformedRow(path, line_no, "non-finite value")
-        t.append(row[0])
-        alpha.append(row[1])
-        tau.append(row[2])
-    if not t:
-        raise EmptyFile(path)
-    if len(t) < 2:
-        raise EmptyFile(path, "fewer than 2 data rows (dt cannot be inferred)")
-    return np.array([t, alpha, tau])
+        rows.append(row)
+    return np.array(rows).reshape(-1, 3).T, line_no
+
+
+class _Columns:
+    """The sink of :func:`load_trajectory`: the columns t, alpha, tau of
+    the samples fed to :meth:`add`, with room for ``n`` of them, grown
+    in place if more come."""
+
+    __slots__ = ("cols", "n")
+
+    def __init__(self, n: int):
+        self.cols = [np.empty(n) for _ in range(3)]
+        self.n = 0  # samples fed so far
+
+    def add(self, rows) -> None:
+        """Feed the next samples: rows t, alpha, tau, 1-D arrays of equal length."""
+        n = self.n + rows[0].size
+        for i, col in enumerate(self.cols):
+            if n > col.size:
+                col.resize(max(n, 2 * col.size), refcheck=False)
+            col[self.n : n] = rows[i]
+        self.n = n
+
+
+def load_trajectory(path) -> Trajectory:
+    """Read a trajectory CSV written by :func:`save_trajectory`.
+
+    ``dt`` is inferred from the first two timestamps, then the uniform
+    grid invariant is validated for the whole file. The file's LF bytes
+    are counted first, and the columns sized to that count, so a file of
+    LF-ended lines takes 24 bytes per sample plus O(:data:`_CHUNK_BYTES`):
+    they grow only for a file with lines ended by another
+    ``str.splitlines`` boundary, or one that changed after the count.
+
+    Raises:
+        MissingFile: ``path`` is not a regular file.
+        IoFailure: ``path`` could not be opened or read.
+        EmptyFile: No data rows, or a single row (dt not inferable).
+        MalformedRow: Wrong column count or unparsable number
+            (exception carries the 1-based line number).
+        NonUniformTimestep: Grid invariant violated (carries the sample
+            index of the first offending step, and names ``path``).
+    """
+    sink, _ = _read_log(path)
+    for col in sink.cols:
+        col.resize(sink.n, refcheck=False)  # in place
+    return Trajectory(*sink.cols)
+
+
+def _read_log(path, sink=None):
+    """The log at ``path`` fed to ``sink``, and its dt; with no sink, fed
+    to :class:`_Columns` sized by a count of the log's LF bytes.
+
+    The one reader of a log: it raises what :func:`load_trajectory`
+    raises. The file is opened once, and read once from its start, its
+    first line and then a :data:`_CHUNK_BYTES` chunk of whole lines at a
+    time, so beside the sink only O(:data:`_CHUNK_BYTES`) is held; the
+    count, for the columns, reads it once more before that. A chunk past
+    the header that :func:`_parse_bulk` accepts is parsed by orjson; any
+    other chunk, the header line among them, by :func:`_parse_lines`,
+    which alone decides what is accepted and raises at the first
+    malformed line. Each chunk's timestamps are checked against the grid
+    as it is parsed, but the first error of the grid is raised only once
+    the whole log has parsed, so a malformed row further on comes first.
+
+    ``sink`` is an object with ``add(rows)``, taking the next samples of
+    the log in order as a (3, m) array of rows t, alpha, tau, such as
+    the accumulator of ``springsim fit``; it is returned.
+    """
+    path = Path(path)
+    try:
+        with open_input(path, MissingFile(path)) as fh:
+            if sink is None:
+                blocks = iter(lambda: fh.read(_CHUNK_BYTES), b"")
+                sink = _Columns(sum(block.count(b"\n") for block in blocks))
+                fh.seek(0)
+            grid, off_grid = _Grid(), None
+            line_no = rows = 0
+            chunk = fh.readline()  # the header line, for the per-line rules
+            while chunk:
+                cols = _parse_bulk(chunk) if line_no else None  # past the header
+                if cols is None:
+                    cols, line_no = _parse_lines(path, chunk, line_no)
+                else:
+                    line_no += cols.shape[1]
+                if cols.size:
+                    if off_grid is None:
+                        try:
+                            grid.feed(cols[0])
+                        except NonUniformTimestep as exc:
+                            off_grid = exc
+                    sink.add(cols)
+                    rows += cols.shape[1]
+                chunk = _line_chunk(fh, _CHUNK_BYTES)
+        if not rows:
+            raise EmptyFile(path)
+        if rows < 2:
+            raise EmptyFile(path, "fewer than 2 data rows (dt cannot be inferred)")
+        if off_grid is not None:
+            raise off_grid
+    except NonUniformTimestep as exc:
+        raise NonUniformTimestep(exc.index, exc.detail, path) from exc
+    return sink, grid.dt

@@ -27,7 +27,7 @@ from springsim import (
     load_trajectory,
     save_trajectory,
 )
-from springsim import _fileio, energy, fit_external, fitting, trajectory
+from springsim import _fileio, energy, fit_external, fitting, harness, trajectory
 from springsim.cli import main as cli_main
 from springsim.trajectory import CSV_HEADER
 
@@ -289,6 +289,10 @@ ODD_CELLS = [
 #: NUL, and a byte that is not UTF-8 ("\udcff" encodes to 0xff).
 ODD_CHARS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\x00", "\udcff"]
 
+#: Line ends other than LF: CRLF, a lone CR and other str.splitlines()
+#: line boundaries, and a byte that is not UTF-8 in place of the LF.
+ODD_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\udcff"]
+
 
 def _midpoint(x):
     """The exact decimal halfway between finite ``x`` > 0 and the next float up."""
@@ -334,24 +338,28 @@ def mutated_logs(draw):
     n = draw(st.integers(0, 5))
     dt = draw(st.sampled_from([1e-3, 0.01, 0.25]))
     rows = [[repr(i * dt), repr(draw(FLOAT64)), repr(draw(FLOAT64))] for i in range(n)]
-    ends = ["\n"] * n
+    # the log's line end: with no LF, it has more rows than LF bytes
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x85"]))
+    ends = [end] * n
     inserted = {}
     for _ in range(draw(st.integers(0, 2)) if n else 0):
         i = draw(st.integers(0, n - 1))
         j = draw(st.integers(0, len(rows[i]) - 1))
-        kind = draw(st.sampled_from(["cell", "cell", "cell", "drop", "crlf", "blank"]))
+        kind = draw(st.sampled_from(["cell", "cell", "cell", "drop", "end", "line"]))
         if kind == "cell":
             rows[i][j] = draw(CELLS)
         elif kind == "drop" and len(rows[i]) > 1:
             del rows[i][j]
-        elif kind == "crlf":
-            ends[i] = "\r\n"
-        elif kind == "blank":
-            inserted[i] = draw(st.sampled_from(["\n", "  \n", "\t\n", "\r\n"]))
-    header = draw(st.sampled_from([CSV_HEADER, CSV_HEADER, CSV_HEADER + " ", "t,a,b"]))
-    text = header + "\n"
-    for i, (row, end) in enumerate(zip(rows, ends)):
-        text += inserted.get(i, "") + ",".join(row) + end
+        elif kind == "end":
+            ends[i] = draw(st.sampled_from(ODD_ENDS))
+        elif kind == "line":  # blank, or a lone byte that is not UTF-8
+            line = draw(st.sampled_from(["", "  ", "\t", "\udcff"]))
+            inserted[i] = line + draw(st.sampled_from(["\n"] + ODD_ENDS))
+    # a header line that is a well-formed row: a log without its header
+    header = draw(st.sampled_from([CSV_HEADER, CSV_HEADER, CSV_HEADER + " ", "t,a,b", "0.0,1,2"]))
+    text = header + end
+    for i, (row, row_end) in enumerate(zip(rows, ends)):
+        text += inserted.get(i, "") + ",".join(row) + row_end
     if n and draw(st.integers(0, 3)) == 0:
         text = text[:-1]  # no final newline
     return text.encode("utf-8", "surrogateescape")
@@ -379,6 +387,20 @@ def _big_log(tmp_path):
     return path, traj
 
 
+def _spoil(path, edit):
+    """Make the saved log at ``path`` not well-formed in a few lines: a
+    blank line appended, or a space before five of its line ends."""
+    data = path.read_bytes()
+    if edit == "blank_line":
+        data += b"\n"
+    else:
+        lines = data.split(b"\n")
+        for k in range(1, len(lines) - 1, len(lines) // 5):
+            lines[k] += b" "
+        data = b"\n".join(lines)
+    path.write_bytes(data)
+
+
 def _traced_peak(fn, *args):
     """``fn(*args)`` and the peak of the memory traced while it ran."""
     tracemalloc.start()
@@ -396,7 +418,8 @@ def _rewrite(path, data):
 
 
 class SpyReader(io.BufferedReader):
-    """A buffered binary file that counts its ``read`` calls.
+    """A buffered binary file that counts its ``read`` calls, its seeks,
+    and the bytes that ``read`` and ``readline`` return.
 
     ``on_seek`` runs once, before the first seek. The read numbered
     ``fail_read`` (from 1) raises EIO.
@@ -404,16 +427,24 @@ class SpyReader(io.BufferedReader):
 
     def __init__(self, path, on_seek=None, fail_read=None):
         super().__init__(io.FileIO(path))
-        self.reads = 0
+        self.reads = self.seeks = self.nbytes = 0
         self._on_seek, self._fail_read = on_seek, fail_read
 
     def read(self, size=-1):
         self.reads += 1
         if self.reads == self._fail_read:
             raise OSError(errno.EIO, "Input/output error")
-        return super().read(size)
+        data = super().read(size)
+        self.nbytes += len(data)
+        return data
+
+    def readline(self, size=-1):
+        line = super().readline(size)
+        self.nbytes += len(line)
+        return line
 
     def seek(self, pos, whence=io.SEEK_SET):
+        self.seeks += 1
         on_seek, self._on_seek = self._on_seek, None
         if on_seek is not None:
             on_seek()
@@ -437,17 +468,81 @@ def _fit_outcome(path):
         return type(exc), str(exc)
 
 
-def _load_and_fit_outcome(path):
-    return _outcome(load_trajectory, path), _fit_outcome(path)
+def _load_strict(path, data: bytes) -> np.ndarray:
+    """The whole-file specification of the log reader: the columns t,
+    alpha, tau of the log ``path`` whose bytes are ``data``, by the
+    per-line rules, as a (3, n) array."""
+    # A byte that is not UTF-8 decodes to a lone surrogate, which no
+    # number or header matches: its line is reported as malformed.
+    lines = data.decode("utf-8", "surrogateescape").splitlines()
+    if not lines:
+        raise EmptyFile(path)
+    header = lines[0].strip()
+    if header != CSV_HEADER:
+        raise MalformedRow(path, 1, f"expected header {CSV_HEADER!r}, got {header!r}")
+    t, alpha, tau = [], [], []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise MalformedRow(path, line_no, f"expected 3 columns, got {len(parts)}")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError as exc:
+            raise MalformedRow(path, line_no, str(exc)) from exc
+        if not all(math.isfinite(v) for v in row):
+            raise MalformedRow(path, line_no, "non-finite value")
+        t.append(row[0])
+        alpha.append(row[1])
+        tau.append(row[2])
+    if not t:
+        raise EmptyFile(path)
+    if len(t) < 2:
+        raise EmptyFile(path, "fewer than 2 data rows (dt cannot be inferred)")
+    return np.array([t, alpha, tau])
 
 
-def _assert_parity(path, outcome=_load_and_fit_outcome):
-    """``outcome(path)`` is what it is through the per-line parser alone;
-    by default the outcome of both the load and the fit of ``path``."""
-    bulk = outcome(path)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(trajectory, "_parse_bulk", lambda fh, grid, sink: None)
-        assert outcome(path) == bulk
+def _reference_load(path):
+    """What ``load_trajectory(path)`` gives by the whole-file specification."""
+    cols = _load_strict(path, path.read_bytes())
+    try:
+        return Trajectory(*cols)
+    except NonUniformTimestep as exc:
+        raise NonUniformTimestep(exc.index, exc.detail, path) from exc
+
+
+def _reference_read(path, sink):
+    """``trajectory._read_log`` by the whole-file specification: the log's
+    columns go to ``sink`` in one ``add``."""
+    traj = _reference_load(path)
+    sink.add((traj.t, traj.alpha, traj.tau))
+    return sink, traj.dt
+
+
+def _assert_parity(path, load=True, fit=True):
+    """The load and the fit of ``path`` (or either) have the outcome they
+    have by the whole-file specification."""
+    if load:
+        assert _outcome(load_trajectory, path) == _outcome(_reference_load, path)
+    if fit:
+        actual = _fit_outcome(path)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(harness, "_read_log", _reference_read)
+            assert _fit_outcome(path) == actual
+
+
+def _spy_per_line(monkeypatch):
+    """The list of every chunk that the per-line rules parse from now on."""
+    chunks = []
+    real = trajectory._parse_lines
+
+    def spy(path, chunk, line_no):
+        chunks.append(chunk)
+        return real(path, chunk, line_no)
+
+    monkeypatch.setattr(trajectory, "_parse_lines", spy)
+    return chunks
 
 
 #: Chunk sizes for the bulk parser below the default: a chunk per line
@@ -538,7 +633,7 @@ class TestBulkParser:
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
         path = tmp_path / "log.csv"
         path.write_bytes(data)
-        _assert_parity(path, lambda p: _outcome(load_trajectory, p))
+        _assert_parity(path, fit=False)
 
     @pytest.mark.parametrize("cell", ODD_CELLS + [f"1.5{c}" for c in ODD_CHARS])
     @pytest.mark.parametrize("col", [0, 2])
@@ -575,12 +670,9 @@ class TestBulkParser:
         traj = Trajectory(np.arange(n) * 1e-3, rng.standard_normal(n), rng.standard_normal(n))
         path = tmp_path / "bulk.csv"
         save_trajectory(traj, path)
-
-        def refuse(path, data):
-            raise AssertionError("well-formed log went through the per-line parser")
-
-        monkeypatch.setattr(trajectory, "_load_strict", refuse)
+        per_line = _spy_per_line(monkeypatch)
         assert load_trajectory(path) == traj
+        assert per_line == [CSV_HEADER.encode() + b"\n"]
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_chunks_fill_the_columns_bit_for_bit(self, tmp_path, monkeypatch, chunk):
@@ -590,12 +682,13 @@ class TestBulkParser:
         path = tmp_path / "bulk.csv"
         save_trajectory(traj, path)
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
-        with open(path, "rb") as fh:
-            cols = trajectory._parse_bulk(fh, trajectory._Grid())
-        assert cols is not None and cols.flags.c_contiguous
-        assert cols.tobytes() == np.stack([traj.t, traj.alpha, traj.tau]).tobytes()
+        per_line = _spy_per_line(monkeypatch)
         loaded = load_trajectory(path)
-        assert loaded == traj and loaded.t.base is loaded.tau.base  # rows of one array
+        assert per_line == [CSV_HEADER.encode() + b"\n"]  # every other chunk is bulk
+        for name in ("t", "alpha", "tau"):
+            col = getattr(loaded, name)
+            assert col.flags.c_contiguous and col.base is None  # trimmed in place
+            assert col.tobytes() == getattr(traj, name).tobytes()
 
     # Peak traced memory of a load, and of a fit: 24 B per sample of
     # columns for a load, and O(_CHUNK_BYTES) of chunk buffers. A fit
@@ -626,13 +719,42 @@ class TestBulkParser:
         assert info == expected
         assert peak <= bound, peak
 
+    # A log that is not well-formed in a few lines sends only the chunks
+    # holding them to the per-line rules: the bounds above hold, and the
+    # fit reads each byte of the log once.
+    @pytest.mark.parametrize("edit", ["blank_line", "spaces"])
+    def test_lenient_load_holds_its_columns_and_a_few_chunks_only(self, tmp_path, edit):
+        path, traj = _big_log(tmp_path)
+        _spoil(path, edit)
+        loaded, peak = _traced_peak(load_trajectory, path)
+        assert loaded == traj
+        assert peak <= 24 * len(traj) + 4 * trajectory._CHUNK_BYTES + 65536, peak
+
+    @pytest.mark.parametrize("edit", ["blank_line", "spaces"])
+    def test_lenient_fit_holds_a_block_and_a_few_chunks_only(self, tmp_path, edit):
+        path, traj = _big_log(tmp_path)
+        expected = fit_external(path)
+        _spoil(path, edit)
+        bound = 16 * fitting._DOT_BLOCK + 4 * trajectory._CHUNK_BYTES + 65536
+        info, peak = _traced_peak(fit_external, path)
+        assert info == expected
+        assert peak <= bound, peak
+
+    @pytest.mark.parametrize("edit", ["blank_line", "spaces"])
+    def test_lenient_fit_reads_the_log_once(self, tmp_path, monkeypatch, edit):
+        path, traj = _big_log(tmp_path)
+        _spoil(path, edit)
+        fh = SpyReader(path)
+        spy_on_open(monkeypatch, path, reader=lambda p: fh)
+        assert fit_external(path)["n_samples"] == len(traj)
+        assert fh.seeks == 0 and fh.nbytes == path.stat().st_size
+
     # orjson's reader rounds correctly, as float() does.
     @settings(max_examples=200, deadline=None, database=None)
     @given(cells=st.lists(st.tuples(JSON_NUMBERS, JSON_NUMBERS), min_size=2, max_size=30))
     def test_columns_are_float_bit_for_bit(self, cells):
         lines = [f"{i * 0.25!r},{a},{b}\n" for i, (a, b) in enumerate(cells)]
-        data = (CSV_HEADER + "\n" + "".join(lines)).encode()
-        cols = trajectory._parse_bulk(io.BytesIO(data), trajectory._Grid())
+        cols = trajectory._parse_bulk("".join(lines).encode())
         assert cols is not None
         expected = [[i * 0.25 for i in range(len(cells))]] + [
             [float(row[j]) for row in cells] for j in (0, 1)
@@ -645,9 +767,9 @@ class TestBulkParser:
         assert len(load_trajectory(path)) == 2
         assert len(opened) == 1
 
-    # Between the count and the parse, the file is rewritten. The second
-    # read sees the change and hands the file to the per-line parser,
-    # which reads it again from the same handle.
+    # Between the load's count and its parse, the file is rewritten. The
+    # parse reads the file as it now is: the columns grow when it has
+    # more rows than the count, and are trimmed when it has fewer.
     @pytest.mark.parametrize(
         "change",
         ["grow", "grow_malformed", "shrink", "shrink_mid_line", "no_final_newline", "header"],
@@ -671,22 +793,18 @@ class TestBulkParser:
         fresh.write_bytes(new)
         expected = _outcome(load_trajectory, fresh)
 
-        strict = []
-        real_strict = trajectory._load_strict
-        monkeypatch.setattr(
-            trajectory, "_load_strict", lambda p, d: strict.append(p) or real_strict(p, d)
-        )
         fh = SpyReader(path, on_seek=lambda: _rewrite(path, new))
         opened = spy_on_open(monkeypatch, path, reader=lambda p: fh)
         assert _outcome(load_trajectory, path) == expected
-        assert len(opened) == 1 and strict == [path]
+        assert len(opened) == 1 and fh.seeks == 1
 
-    # A read of the fit that fails: the first, one while parsing, the last
-    # chunk's, and the per-line parser's whole-file read of a lenient log.
-    # In 4096-byte chunks the fit reads the 45 KB log once: read 1 for the
-    # header, 2-12 to parse and 13 to find its end. The lenient log has a
-    # blank line after its header, so the bulk parser defers at read 2 and
-    # the per-line parser reads the whole file at read 3.
+    # A read of the fit that fails: the first, one while parsing, the one
+    # that finds the end, and one past a per-line chunk of a lenient log.
+    # In 4096-byte chunks the fit reads the 45 KB log once: its header
+    # line through readline, then reads 1-11 to parse and 12 to find its
+    # end. The lenient log has a blank line after its header, so the
+    # chunk of read 1 goes to the per-line rules, and read 3 is the
+    # second of the bulk chunks after it.
     @pytest.mark.parametrize("lenient, fail_read", [(False, 1), (False, 3), (False, 12), (True, 3)])
     def test_read_error_is_one_line_exit_one(
         self, tmp_path, monkeypatch, capsys, lenient, fail_read
@@ -705,8 +823,10 @@ class TestBulkParser:
         assert fh.reads == fail_read and fh.closed
 
     # A read of the load that fails. The load reads the log twice, to
-    # preallocate its columns: in 4096-byte chunks read 1 for the header,
-    # 2-14 to count, 15 for the header again and 16-26 to parse.
+    # preallocate its columns: in 4096-byte chunks reads 1-13 count its
+    # lines, then, past its header line, reads 14-24 parse it and 25
+    # finds its end. So read 3 fails while counting, 15 and 16 while
+    # parsing.
     @pytest.mark.parametrize("fail_read", [3, 15, 16])
     def test_load_read_error_names_the_log(self, tmp_path, monkeypatch, fail_read):
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 4096)
@@ -776,16 +896,13 @@ class TestFitRead:
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
         path = tmp_path / "log.csv"
         path.write_bytes(data)
-        _assert_parity(path, _fit_outcome)
+        _assert_parity(path, load=False)
 
     def test_saved_file_takes_bulk_path(self, tmp_path, monkeypatch):
         path, traj = _small_log(tmp_path)
-
-        def refuse(path, data):
-            raise AssertionError("well-formed log went through the per-line parser")
-
-        monkeypatch.setattr(trajectory, "_load_strict", refuse)
+        per_line = _spy_per_line(monkeypatch)
         assert fit_external(path)["n_samples"] == len(traj)
+        assert per_line == [CSV_HEADER.encode() + b"\n"]
 
     # The load and the fit raise the same error, with the same line or
     # index and text, wherever the chunk boundaries fall.
@@ -801,6 +918,31 @@ class TestFitRead:
         expected = (MalformedRow, n + 1, f"{path}:{n + 1}: non-finite value")
         assert _failure(load_trajectory, path) == expected
         assert _failure(fit_external, path) == expected
+
+    # The same across chunk kinds: a blank line after the header sends the
+    # first chunk to the per-line rules, a later chunk that the bulk
+    # parser takes holds the off-grid step, and the last chunk, per-line
+    # again, the malformed row.
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_malformed_row_after_an_off_grid_step_in_a_bulk_chunk_wins(
+        self, tmp_path, monkeypatch, chunk
+    ):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
+        n = chunk // 4 + 40  # rows of at most 17 bytes: four chunks or more
+        t = [0.25 * i for i in range(n)]
+        t[n // 2] += 2.0**-10
+        path = _grid_log(tmp_path / "x.csv", t, bad=n - 1)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n\n", 1))
+        expected = _failure(_reference_load, path)
+        assert expected == (MalformedRow, n + 2, f"{path}:{n + 2}: non-finite value")
+        per_line = _spy_per_line(monkeypatch)
+        assert _failure(load_trajectory, path) == expected
+        assert _failure(fit_external, path) == expected
+        # for the load, then the fit: the header line and two chunks
+        assert len(per_line) == 6 and per_line[:3] == per_line[3:]
+        header, first, last = per_line[:3]
+        assert header == CSV_HEADER.encode() + b"\n" and first.startswith(b"\n")
+        assert last.endswith(b",inf\n") and repr(t[n // 2]).encode() not in first + last
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_off_grid_step_across_a_chunk_boundary(self, tmp_path, monkeypatch, chunk):
@@ -879,8 +1021,8 @@ LONG = 2 * fitting._DOT_BLOCK + 1617
 
 def _long_log(path, alpha, tau, parser):
     """A log of ``alpha`` and ``tau`` at dt 1e-3. For the ``strict`` parser
-    a blank last line sends it to the per-line parser, after the bulk
-    parser has fed the fit every sample."""
+    a blank last line sends the last chunk to the per-line rules, after
+    the bulk parser has fed the fit the samples of every other chunk."""
     save_trajectory(Trajectory(np.arange(alpha.size) * 1e-3, alpha, tau, dt=1e-3), path)
     if parser == "strict":
         with _REAL_OPEN(path, "ab") as fh:
