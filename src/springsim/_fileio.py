@@ -68,9 +68,7 @@ def open_input(path, missing: Exception) -> Iterator[BinaryIO]:
 
     Raises ``missing`` if ``path`` is not a regular file, and IoFailure
     on any other OS-level problem: opening it, or any read or seek in
-    the ``with`` block. The file is read as the caller reads it: a log
-    in chunks, by :func:`springsim.trajectory._read_log`, every other
-    input whole, by :func:`read_file`.
+    the ``with`` block.
     """
     try:
         if not Path(path).is_file():

@@ -270,16 +270,17 @@ class _LogFit:
         """Feed the next samples: rows t, alpha, tau, 1-D arrays of equal
         length (the fit needs no timestamps)."""
         alpha, tau = rows[1], rows[2]
-        i, m = 0, alpha.size
-        while i < m:
-            if self._fill == _DOT_BLOCK:
-                self._fold()
-            take = min(_DOT_BLOCK - self._fill, m - i)
-            j = self._fill
-            self._alpha[j : j + take] = alpha[i : i + take]
-            self._tau[j : j + take] = tau[i : i + take]
-            self._fill += take
-            i += take
+        m, j = alpha.size, self._fill
+        while j + m > _DOT_BLOCK:  # a log's chunks: about one in 30
+            take = _DOT_BLOCK - j  # fill the block, and fold it
+            self._alpha[j:] = alpha[:take]
+            self._tau[j:] = tau[:take]
+            self._fill = _DOT_BLOCK
+            self._fold()
+            alpha, tau, m, j = alpha[take:], tau[take:], m - take, 0
+        self._alpha[j : j + m] = alpha
+        self._tau[j : j + m] = tau
+        self._fill = j + m
 
     def _fold(self) -> None:
         # Centred in place: the buffers are refilled after a fold.

@@ -135,8 +135,9 @@ class Trajectory:
         if dt is None and t.size < 2:
             raise ValueError("dt must be given explicitly for a 1-sample trajectory")
         grid = _Grid(dt)
-        for i in range(0, t.size, _CHECK_BLOCK):
-            grid.feed(t[i : i + _CHECK_BLOCK])
+        with np.errstate(over="ignore"):  # see _Grid
+            for i in range(0, t.size, _CHECK_BLOCK):
+                grid.feed(t[i : i + _CHECK_BLOCK])
         for arr in (t, alpha, tau):
             arr.setflags(write=False)
         object.__setattr__(self, "t", t)
@@ -176,6 +177,8 @@ class _Grid:
     at the first timestamp off its grid, with the same index and detail.
     ``dt`` is the one given or, once two timestamps are in, the one
     inferred from them; the last timestamp carries over to the next piece.
+    Callers feed it under ``np.errstate(over="ignore")``: a step past the
+    float range is inf, and off the grid.
 
     Raises:
         ValueError: ``dt`` is given and is not finite and positive.
@@ -191,30 +194,29 @@ class _Grid:
         self._last = 0.0  # the last of them
 
     def feed(self, t: np.ndarray) -> None:
-        # A step past the float range is inf, and off the grid: no warning.
-        with np.errstate(over="ignore"):
-            n = self._n
-            if self.dt is None and n + t.size > 1:
-                dt = float(t[1] - t[0]) if n == 0 else float(t[0] - self._last)
-                if not 0.0 < dt < math.inf:
-                    why = "is not positive" if dt <= 0.0 else "is past the float range"
-                    raise NonUniformTimestep(1, f"t[1]-t[0]={dt!r} {why}")
-                self.dt = dt
-            # Until dt is known, n is 0 and t holds one timestamp: no step to check.
-            dt = self.dt
-            if n:
-                step = float(t[0] - self._last)
-                if abs(step - dt) > TIMESTEP_TOL:
-                    raise _off_grid(n, step, dt)
-            if t.size > 1:
-                off = np.subtract(t[1:], t[:-1])  # np.diff(t), then in place
+        n = self._n
+        if self.dt is None and n + t.size > 1:
+            dt = float(t[1] - t[0]) if n == 0 else float(t[0] - self._last)
+            if not 0.0 < dt < math.inf:
+                why = "is not positive" if dt <= 0.0 else "is past the float range"
+                raise NonUniformTimestep(1, f"t[1]-t[0]={dt!r} {why}")
+            self.dt = dt
+        # Until dt is known, n is 0 and t holds one timestamp: no step to check.
+        dt = self.dt
+        if n:
+            step = float(t[0] - self._last)
+            if abs(step - dt) > TIMESTEP_TOL:
+                raise _off_grid(n, step, dt)
+        if t.size > 1:
+            off = t[1:] - t[:-1]  # np.diff(t)
+            # max|off - dt| > tol, as rounding x - dt is monotone in x
+            if float(off.max()) - dt > TIMESTEP_TOL or dt - float(off.min()) > TIMESTEP_TOL:
                 off -= dt
                 np.abs(off, out=off)
-                if float(off.max()) > TIMESTEP_TOL:
-                    bad = int(np.argmax(off > TIMESTEP_TOL)) + 1
-                    raise _off_grid(n + bad, float(t[bad] - t[bad - 1]), dt)
-            self._n = n + t.size
-            self._last = float(t[-1])
+                bad = int(np.argmax(off > TIMESTEP_TOL)) + 1
+                raise _off_grid(n + bad, float(t[bad] - t[bad - 1]), dt)
+        self._n = n + t.size
+        self._last = float(t[-1])
 
 
 def _off_grid(index: int, step: float, dt: float) -> NonUniformTimestep:
@@ -231,20 +233,19 @@ def save_trajectory(traj: Trajectory, path) -> None:
     atomic_write(path, float_rows(CSV_HEADER, traj.t, traj.alpha, traj.tau))
 
 
-#: Every byte a number in a well-formed log can contain: what
-#: :func:`repr` writes for a finite float.
-_NUMBER_BYTES = b"0123456789+-.eE"
+#: Every byte a cell of a well-formed log can hold: what :func:`repr`
+#: writes for a finite float, and spaces, which JSON and ``float()`` skip.
+_CELL_BYTES = b"0123456789+-.eE "
 
 #: Bytes of a log read and parsed at a time; a chunk runs on to the end
-#: of the line holding its last byte. While orjson parses a chunk, the
-#: chunk and its JSON text are the two copies of its bytes that are
-#: alive; with orjson's list of Python floats (32 bytes a value, against
-#: the 8 of a column) and their column, about 6 times the chunk is held
-#: (a traced peak of 50.2 KB while a 150k-sample log is read into a sink
-#: that keeps nothing). 8 KiB keeps that under a fit's 128 KiB block.
-#: 16 KiB parsed that log about 13% faster, but raised the peak RSS of
-#: ``springsim fit`` on it by 0.01-0.04 MiB.
-_CHUNK_BYTES = 1 << 13
+#: of the line holding its last byte, and parsing it holds about 6 times
+#: its size. On the 150k-sample fit_log benchmark log, 8, 16 and 32 KiB
+#: gave ``springsim fit`` 0.050, 0.045 and 0.042 s of CPU a pass and a
+#: peak RSS of 0.46, 0.51 and 0.56 MiB (medians of 3 runs, 2-vCPU x86-64
+#: VM). The traced peak of a fit whose chunks go to the per-line rules
+#: is 0.25 MB at 16 KiB; at 32 KiB, 0.37 MB, past the tests' bound of
+#: 16 B a block sample + 4 chunks + 64 KiB.
+_CHUNK_BYTES = 1 << 14
 
 
 def _line_chunk(fh: BinaryIO, size: int) -> bytes:
@@ -258,8 +259,8 @@ def _line_chunk(fh: BinaryIO, size: int) -> bytes:
 
 def _lines(chunk: bytes) -> int | None:
     """The number of lines in ``chunk`` if each holds three cells made of
-    :data:`_NUMBER_BYTES` and ends in LF, else None."""
-    shape = chunk.translate(None, _NUMBER_BYTES)
+    :data:`_CELL_BYTES` and ends in LF, else None."""
+    shape = chunk.translate(None, _CELL_BYTES)
     m = len(shape) // 3
     return m if chunk.endswith(b"\n") and shape == b",,\n" * m else None
 
@@ -269,20 +270,21 @@ def _parse_bulk(chunk: bytes) -> np.ndarray | None:
     header, as a (3, m) array if the chunk is well-formed; else None, and
     the per-line rules of :func:`_parse_lines` decide.
 
-    Well-formed: lines that each hold three finite JSON numbers made of
-    :data:`_NUMBER_BYTES` only, each line ending in LF or CRLF. Anything
-    else returns None: blank lines, a lone CR, spaces, ``nan``, ``1_0``,
-    non-ASCII bytes, and the cells that ``float()`` reads but JSON does
-    not (``+1``, ``.5``, ``5.``, ``01``), or reads with a sign that
-    orjson drops (the integer ``-0``). orjson rounds each number it reads
-    correctly, so it parses every cell it accepts to the float that
-    ``float()`` gives.
+    Well-formed: lines of three cells of :data:`_CELL_BYTES` that are
+    JSON numbers, each line ending in LF or CRLF. Anything else returns
+    None: blank lines, a lone CR, tabs, ``nan``, ``1_0``, non-ASCII
+    bytes, and the cells that ``float()`` reads but JSON does not (``+1``,
+    ``.5``, ``5.``, ``01``), or reads with a sign that orjson drops (the
+    integer ``-0``). orjson rounds each number it reads correctly, so it
+    parses every cell it accepts to the float that ``float()`` gives. No
+    pass checks finiteness: orjson refuses a number that rounds to +-inf,
+    and no ``nan`` or ``inf`` is made of :data:`_CELL_BYTES`.
 
     orjson reads the integer ``-0`` as the integer 0, so a chunk that
     holds one parses to a zero among its values. Only such a chunk is
     searched for a ``-0`` cell, in its JSON text: first (after ``[``),
-    between commas, or last (before ``]``); a chunk holding none of its
-    values at zero is not searched.
+    between commas, or last (before ``]``); with a space in it, which
+    the search would miss (``, -0``), it returns None.
     """
     m = _lines(chunk)
     if m is None:  # CRLF line ends, or not well-formed
@@ -302,12 +304,8 @@ def _parse_bulk(chunk: bytes) -> np.ndarray | None:
     if len(values) != 3 * m:
         return None
     values = np.fromiter(values, np.float64, 3 * m)  # and the list is freed
-    if not np.isfinite(values).all():
-        return None
-    # orjson reads the integer -0 as the integer 0, without its sign;
-    # a chunk holding no zero holds no such cell
     if np.count_nonzero(values) < values.size and (
-        text.startswith(b"[-0,") or b",-0," in text or text.endswith(b",-0]")
+        b" " in text or text.startswith(b"[-0,") or b",-0," in text or text.endswith(b",-0]")
     ):
         return None
     return values.reshape(m, 3).T
@@ -420,7 +418,7 @@ def _read_log(path, sink=None):
     """
     path = Path(path)
     try:
-        with open_input(path, MissingFile(path)) as fh:
+        with open_input(path, MissingFile(path)) as fh, np.errstate(over="ignore"):
             if sink is None:
                 blocks = iter(lambda: fh.read(_CHUNK_BYTES), b"")
                 sink = _Columns(sum(block.count(b"\n") for block in blocks))

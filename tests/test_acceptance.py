@@ -288,7 +288,7 @@ def pinned_fit_log(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("chunk", [1 << 17, trajectory._CHUNK_BYTES, 1, 7, 64])
+@pytest.mark.parametrize("chunk", [1 << 17, trajectory._CHUNK_BYTES, 1 << 13, 1, 7, 64])
 def test_fit_output_is_pinned_for_any_chunk_size(pinned_fit_log, monkeypatch, capsys, chunk):
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
     assert cli_main(["fit", str(pinned_fit_log), "--json"]) == 0

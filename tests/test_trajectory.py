@@ -7,11 +7,12 @@ import math
 import struct
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import orjson
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from springsim import (
@@ -282,7 +283,7 @@ FLOAT64 = (
 ODD_CELLS = [
     "", " 1.5", "1.5 ", " ", "nan", "inf", "-inf", "1e999", "-1e999", "1e-400",
     "1_0", "0x10", "2.5abc", "1.5,2.5", "+1", "5.", "-.5", "1E5", "1.5e", "1.5.5",
-    "\u0661", "\u00e9", "\udcff", "-0", "-0e0", "0", "01", "-00",
+    "\u0661", "\u00e9", "\udcff", "-0", "-0e0", "0", "01", "-00", " -0", "-0 ",
 ]
 
 #: Bytes inside a line: lone CR and other str.splitlines() line boundaries,
@@ -388,15 +389,19 @@ def _big_log(tmp_path):
 
 
 def _spoil(path, edit):
-    """Make the saved log at ``path`` not well-formed in a few lines: a
-    blank line appended, or a space before five of its line ends."""
+    """Edit the saved log at ``path`` in a few lines, leaving its samples
+    as they are: a blank line appended, a space before five of its line
+    ends (JSON whitespace, but the first is on the line of t = 0, and the
+    bulk parser leaves a chunk holding a space and a zero to the per-line
+    rules), or a ``+`` before five of its lines (which ``float()`` reads
+    but JSON does not)."""
     data = path.read_bytes()
     if edit == "blank_line":
         data += b"\n"
     else:
         lines = data.split(b"\n")
         for k in range(1, len(lines) - 1, len(lines) // 5):
-            lines[k] += b" "
+            lines[k] = b"+" + lines[k] if edit == "plus" else lines[k] + b" "
         data = b"\n".join(lines)
     path.write_bytes(data)
 
@@ -550,8 +555,8 @@ def _spy_per_line(monkeypatch):
 SMALL_CHUNKS = [1, 7, 64]
 
 #: 128 KiB, which holds each small log here whole, the default chunk
-#: size, and the small ones.
-CHUNKS = [1 << 17, trajectory._CHUNK_BYTES] + SMALL_CHUNKS
+#: size, 8 KiB, and the small ones.
+CHUNKS = [1 << 17, trajectory._CHUNK_BYTES, 1 << 13] + SMALL_CHUNKS
 
 #: Hypothesis settings of the parity properties.
 PARITY_SETTINGS = settings(
@@ -690,6 +695,49 @@ class TestBulkParser:
             assert col.flags.c_contiguous and col.base is None  # trimmed in place
             assert col.tobytes() == getattr(traj, name).tobytes()
 
+    # A space is JSON whitespace, and float() strips it: a log written with
+    # ", " between its cells, and no zero, is parsed by orjson, to the
+    # same samples.
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_spaced_log_takes_bulk_path(self, tmp_path, monkeypatch, chunk):
+        rng = np.random.default_rng(4)
+        n = 1000
+        t = np.arange(1, n + 1) * 1e-3
+        traj = Trajectory(t, rng.standard_normal(n), rng.standard_normal(n))
+        path = tmp_path / "spaced.csv"
+        save_trajectory(traj, path)
+        expected = fit_external(path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(header + b"\n" + body.replace(b",", b", "))
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
+        per_line = _spy_per_line(monkeypatch)
+        assert load_trajectory(path) == traj
+        assert fit_external(path) == expected
+        assert per_line == [CSV_HEADER.encode() + b"\n"] * 2
+
+    # orjson refuses a number that rounds to +-inf, so the chunk holding
+    # one goes to the per-line rules, which raise at its line.
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("col", [0, 1, 2])
+    @pytest.mark.parametrize("cell", ["1e400", "-1e400", "1.8e308"])
+    def test_out_of_range_number_is_a_malformed_row(
+        self, tmp_path, monkeypatch, chunk, col, cell
+    ):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", chunk)
+        path, _ = _small_log(tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        cells = lines[700].split(b",")
+        cells[col] = cell.encode()
+        lines[700] = b",".join(cells)
+        path.write_bytes(b"\n".join(lines))
+        expected = (MalformedRow, 701, f"{path}:701: non-finite value")
+        per_line = _spy_per_line(monkeypatch)
+        assert _failure(load_trajectory, path) == expected
+        assert _failure(fit_external, path) == expected
+        # for the load, then the fit: the header line and the chunk of the cell
+        assert len(per_line) == 4 and per_line[:2] == per_line[2:]
+        assert lines[700] + b"\n" in per_line[1]
+
     # Peak traced memory of a load, and of a fit: 24 B per sample of
     # columns for a load, and O(_CHUNK_BYTES) of chunk buffers. A fit
     # keeps no column: one block pair of 16 B per sample of a block.
@@ -722,7 +770,7 @@ class TestBulkParser:
     # A log that is not well-formed in a few lines sends only the chunks
     # holding them to the per-line rules: the bounds above hold, and the
     # fit reads each byte of the log once.
-    @pytest.mark.parametrize("edit", ["blank_line", "spaces"])
+    @pytest.mark.parametrize("edit", ["blank_line", "spaces", "plus"])
     def test_lenient_load_holds_its_columns_and_a_few_chunks_only(self, tmp_path, edit):
         path, traj = _big_log(tmp_path)
         _spoil(path, edit)
@@ -730,7 +778,7 @@ class TestBulkParser:
         assert loaded == traj
         assert peak <= 24 * len(traj) + 4 * trajectory._CHUNK_BYTES + 65536, peak
 
-    @pytest.mark.parametrize("edit", ["blank_line", "spaces"])
+    @pytest.mark.parametrize("edit", ["blank_line", "spaces", "plus"])
     def test_lenient_fit_holds_a_block_and_a_few_chunks_only(self, tmp_path, edit):
         path, traj = _big_log(tmp_path)
         expected = fit_external(path)
@@ -740,7 +788,7 @@ class TestBulkParser:
         assert info == expected
         assert peak <= bound, peak
 
-    @pytest.mark.parametrize("edit", ["blank_line", "spaces"])
+    @pytest.mark.parametrize("edit", ["blank_line", "spaces", "plus"])
     def test_lenient_fit_reads_the_log_once(self, tmp_path, monkeypatch, edit):
         path, traj = _big_log(tmp_path)
         _spoil(path, edit)
@@ -1104,6 +1152,54 @@ def _grid_outcome(read_dt):
         return type(exc), str(exc)
 
 
+class _FourOpGrid(trajectory._Grid):
+    """The reference of the grid check: :class:`trajectory._Grid` as it
+    was, taking ``|diff(t) - dt|`` in place and comparing its maximum."""
+
+    __slots__ = ()
+
+    def feed(self, t):
+        with np.errstate(over="ignore"):
+            n = self._n
+            if self.dt is None and n + t.size > 1:
+                dt = float(t[1] - t[0]) if n == 0 else float(t[0] - self._last)
+                if not 0.0 < dt < math.inf:
+                    why = "is not positive" if dt <= 0.0 else "is past the float range"
+                    raise NonUniformTimestep(1, f"t[1]-t[0]={dt!r} {why}")
+                self.dt = dt
+            dt = self.dt
+            if n:
+                step = float(t[0] - self._last)
+                if abs(step - dt) > trajectory.TIMESTEP_TOL:
+                    raise trajectory._off_grid(n, step, dt)
+            if t.size > 1:
+                off = np.subtract(t[1:], t[:-1])
+                off -= dt
+                np.abs(off, out=off)
+                if float(off.max()) > trajectory.TIMESTEP_TOL:
+                    bad = int(np.argmax(off > trajectory.TIMESTEP_TOL)) + 1
+                    raise trajectory._off_grid(n + bad, float(t[bad] - t[bad - 1]), dt)
+            self._n = n + t.size
+            self._last = float(t[-1])
+
+
+def _ulps(x, k):
+    """``x`` moved ``k`` floats up (or ``-k`` down)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+#: Moves of one timestamp: a step off the grid by the tolerance, give or
+#: take a few ulps, to either side; far off the grid; and past half the
+#: float range, so that a step overflows to +-inf.
+GRID_MOVES = st.one_of(
+    st.tuples(st.just("step"), st.sampled_from([1.0, -1.0]), st.integers(-3, 3)),
+    st.tuples(st.just("shift"), st.sampled_from([-0.5, -0.25, 1e-3, 1e-10]), st.just(0)),
+    st.tuples(st.just("set"), st.sampled_from([1.5e308, -1.5e308]), st.just(0)),
+)
+
+
 class TestGridInPieces:
     # Fed a series in pieces, the grid check infers dt and raises as the
     # check of the whole series does: the first steps are shifted into
@@ -1132,6 +1228,43 @@ class TestGridInPieces:
 
         whole = _grid_outcome(lambda: Trajectory(t, np.zeros(n), np.zeros(n)).dt)
         assert _grid_outcome(in_pieces) == whole
+
+    # The check by maximum and minimum gives the outcome of the one by
+    # |diff(t) - dt|, with the same index and detail, on steps a few ulps
+    # either side of the tolerance (with dt 2**-32 the step into sample 2
+    # can be off by the tolerance exactly, as in the example) and on steps
+    # past the float range, which warn of nothing.
+    @PARITY_SETTINGS
+    @example(dt=2.0**-32, n=3, moves=[(2, ("step", 1.0, 0))], cuts=set())
+    @given(
+        dt=st.sampled_from([0.25, 1e-3, 2.0**-32]),
+        n=st.integers(2, 30),
+        moves=st.lists(st.tuples(st.integers(0, 29), GRID_MOVES), max_size=3),
+        cuts=st.sets(st.integers(1, 29), max_size=6),
+    )
+    def test_same_result_as_the_four_op_check(self, dt, n, moves, cuts):
+        t = np.arange(n) * dt
+        for i, (kind, x, k) in moves:
+            i %= n
+            if kind == "shift":
+                t[i] += x
+            elif kind == "set":
+                t[i] = x
+            elif i:  # a step off the grid by x times the tolerance, then k ulps
+                t[i] = _ulps(float(t[i - 1]) + dt + x * trajectory.TIMESTEP_TOL, k)
+        pieces = np.split(t, sorted(c for c in cuts if c < n))
+
+        def in_pieces(grid):
+            with np.errstate(over="ignore"):  # as the callers of _Grid.feed do
+                for piece in pieces:
+                    grid.feed(piece)
+            return grid.dt
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = _grid_outcome(lambda: in_pieces(_FourOpGrid()))
+            assert _grid_outcome(lambda: in_pieces(trajectory._Grid())) == expected
+            assert _grid_outcome(lambda: Trajectory(t, np.zeros(n), np.zeros(n)).dt) == expected
 
 
 # --- the CSV writer against repr ----------------------------------------------
